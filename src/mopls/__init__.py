@@ -11,7 +11,6 @@ from .construct import (
     k_mols_field,
     k_mopls_diagonal,
     k_ols,
-    macneish_product,
     min_mopls,
     min_mpls,
     mopls_plan,
@@ -27,7 +26,6 @@ from .core import (
     SquareError,
     ValidationReport,
     Violation,
-    new_empty,
 )
 from .formats import (
     ParseError,
@@ -98,7 +96,6 @@ __all__ = [
     "k_ols",
     "load_square",
     "lower_bound",
-    "macneish_product",
     "max_empty_transversal",
     "maximalize",
     "min_distance",
@@ -107,7 +104,6 @@ __all__ = [
     "min_mpls",
     "mopls_plan",
     "mpls_plan",
-    "new_empty",
     "parse",
     "product",
     "save_square",

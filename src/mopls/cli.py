@@ -182,15 +182,15 @@ def cmd_verify(ctx: RunContext, args: argparse.Namespace) -> int:
                 results = list(pool.map(_verify_one_maximal, paths))
         else:
             results = [_verify_one_maximal(p) for p in paths]
-        ok = True
+        status = EXIT_OK
         for path, good, message in results:
             print(f"{path}: {message}")
-            ok &= good
-            if not good and message.startswith("malformed"):
-                return EXIT_MALFORMED
-        for p in paths:
-            ctx.inputs.append(Path(p))
-        return EXIT_OK if ok else EXIT_VERIFY_FAILED
+            if message.startswith("malformed"):
+                status = EXIT_MALFORMED
+            elif not good and status == EXIT_OK:
+                status = EXIT_VERIFY_FAILED
+        ctx.inputs.extend(Path(p) for p in paths)
+        return status
 
     square = ctx.read_square(args.files[0])
     if what == "bound":
@@ -392,9 +392,6 @@ def main(argv: "list[str] | None" = None) -> int:
     }
     ctx.write_manifests(parameters)
     return status
-
-
-dispatch = main
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -191,9 +191,6 @@ def product(left: KPartialSquare, right: KPartialSquare) -> KPartialSquare:
     return KPartialSquare.from_cells(m1 * m2, k, cells)
 
 
-macneish_product = product
-
-
 def _load_bundled_pair(m: int) -> KPartialSquare:
     res = resources.files("mopls").joinpath("data", f"ols_{m}.json")
     try:

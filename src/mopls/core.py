@@ -25,6 +25,7 @@ in :mod:`mopls.formats` is 1-based, matching the usual printed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 Cell = tuple[int, int]
@@ -118,6 +119,38 @@ def _classify(w1: Word, w2: Word, c1: Cell, c2: Cell, coords: tuple[int, ...]) -
     )
 
 
+class Projections:
+    """Coordinate-pair projections of a set of words, as bitmasks.
+
+    ``table[a][b][x]`` is the set of y such that some word w has w[a] = x
+    and w[b] = y.  Two words agree in two coordinates exactly when they
+    share a value pair in some projection, so these tables record every
+    constraint of a square (the strength-2 orthogonal-array view).
+    Values must lie in 0..n-1; the diagonal a = b is filled but unused.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, n: int, width: int, words: Iterable[Word] = ()):
+        self.table = [[[0] * n for _ in range(width)] for _ in range(width)]
+        for word in words:
+            self.add(word)
+
+    def add(self, word: Word) -> None:
+        """Record ``word`` in every projection."""
+        for a, row in enumerate(self.table):
+            x = word[a]
+            for b, column in enumerate(row):
+                column[x] |= 1 << word[b]
+
+    def clashes(self, word: Word) -> bool:
+        """True when ``word`` agrees with some recorded word in two coordinates."""
+        table = self.table
+        return any(
+            table[a][b][word[a]] >> word[b] & 1 for a, b in combinations(range(len(word)), 2)
+        )
+
+
 class KPartialSquare:
     """An order-n array whose filled cells hold k-tuples of entries.
 
@@ -202,6 +235,10 @@ class KPartialSquare:
         """All filled cells as sorted (row, col, entries...) words."""
         return tuple(sorted((r, c) + e for (r, c), e in self._cells.items()))
 
+    def projections(self) -> Projections:
+        """A fresh projection index of the filled cells' words."""
+        return Projections(self.n, self.k + 2, self.words())
+
     def word_at(self, cell: Cell) -> Word:
         entries = self._cells.get(cell)
         if entries is None:
@@ -223,17 +260,7 @@ class KPartialSquare:
         self._check_entries(entries)
         if cell in self._cells:
             raise CellOccupiedError(f"cell {cell} is already filled")
-        new_word = cell + entries
-        for other_cell, other_entries in self._cells.items():
-            other = other_cell + other_entries
-            coords = agreement_positions(new_word, other)
-            if len(coords) >= 2:
-                v = _classify(new_word, other, cell, other_cell, coords)
-                exc = LatinConflictError if v.kind.startswith("latin") else OrthogonalityConflictError
-                raise exc(v.message)
-        updated = dict(self._cells)
-        updated[cell] = entries
-        return KPartialSquare(self.n, self.k, updated)
+        return KPartialSquare.from_cells(self.n, self.k, {**self._cells, cell: entries})
 
     def remove(self, cell: Cell) -> "KPartialSquare":
         """Return a new square with ``cell`` emptied (inverse of insert)."""
@@ -318,15 +345,22 @@ class KPartialSquare:
                 violations.append(
                     Violation("range", ((r, c),), (), f"cell ({r}, {c}) -> {entries} out of range")
                 )
-        words = [(cell + e, cell) for cell, e in self._cells.items()]
-        words.sort()
-        for i in range(len(words)):
-            wi, ci = words[i]
-            for j in range(i + 1, len(words)):
-                wj, cj = words[j]
-                coords = agreement_positions(wi, wj)
-                if len(coords) >= 2:
-                    violations.append(_classify(wi, wj, ci, cj, coords))
+        words = sorted((cell + e, cell) for cell, e in self._cells.items())
+        # only a word that clashes with the index is compared with the earlier
+        # words, to name the other cell; out-of-range values cannot be bits,
+        # so then every word is compared
+        index = None if violations else Projections(self.n, self.k + 2)
+        clashes: list[tuple[int, int, Violation]] = []
+        for j, (wj, cj) in enumerate(words):
+            if index is None or index.clashes(wj):
+                for i, (wi, ci) in enumerate(words[:j]):
+                    coords = agreement_positions(wi, wj)
+                    if len(coords) >= 2:
+                        clashes.append((i, j, _classify(wi, wj, ci, cj, coords)))
+            if index is not None:
+                index.add(wj)
+        clashes.sort(key=lambda clash: clash[:2])
+        violations.extend(v for _, _, v in clashes)
         return ValidationReport(ok=not violations, violations=tuple(violations))
 
     def frequencies(self) -> FrequencyProfile:
@@ -363,8 +397,3 @@ class KPartialSquare:
 
     def __repr__(self) -> str:
         return f"KPartialSquare(n={self.n}, k={self.k}, filled={len(self._cells)})"
-
-
-def new_empty(n: int, k: int) -> KPartialSquare:
-    """Order-n square with k entry layers and no filled cells."""
-    return KPartialSquare.empty(n, k)

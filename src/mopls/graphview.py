@@ -43,37 +43,25 @@ class ComplementGraph:
         self.k = square.k
         self.groups = square.k + 2
         full = (1 << square.n) - 1
-        # _adj[(a, b)][x] = bitmask of group-b vertices adjacent to vertex x of group a
-        self._adj: dict[tuple[int, int], list[int]] = {
-            (a, b): [full] * square.n
-            for a, b in combinations(range(self.groups), 2)
-        }
-        for word in square.words():
-            for a, b in combinations(range(self.groups), 2):
-                self._adj[(a, b)][word[a]] &= ~(1 << word[b])
+        # _adj[a][b][x] = bitmask of group-b vertices adjacent to vertex x of
+        # group a: every value pair that no word projects onto (a, b)
+        self._adj = [
+            [[full & ~used for used in column] for column in row]
+            for row in square.projections().table
+        ]
 
     def adjacency(self, group_a: int, group_b: int, vertex: int) -> int:
         """Bitmask of group_b vertices adjacent to ``vertex`` of group_a."""
-        if group_a < group_b:
-            return self._adj[(group_a, group_b)][vertex]
-        mask = 0
-        for y in range(self.n):
-            if (self._adj[(group_b, group_a)][y] >> vertex) & 1:
-                mask |= 1 << y
-        return mask
+        if group_a == group_b:
+            return 0
+        return self._adj[group_a][group_b][vertex]
 
     def has_edge(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
         (ga, va), (gb, vb) = a, b
-        if ga == gb:
-            return False
-        if ga > gb:
-            (ga, va), (gb, vb) = (gb, vb), (ga, va)
-        return bool((self._adj[(ga, gb)][va] >> vb) & 1)
+        return bool((self.adjacency(ga, gb, va) >> vb) & 1)
 
     def edge_count(self, group_a: int, group_b: int) -> int:
-        if group_a > group_b:
-            group_a, group_b = group_b, group_a
-        return sum(m.bit_count() for m in self._adj[(group_a, group_b)])
+        return sum(m.bit_count() for m in self._adj[group_a][group_b])
 
     def densities(self) -> dict[tuple[int, int], Fraction]:
         """Exact edge density per group pair, edges / n^2."""
@@ -98,9 +86,9 @@ class ComplementGraph:
         """
         n, groups = self.n, self.groups
         for r in range(n):
-            for c in _bits(self._adj[(0, 1)][r]):
+            for c in _bits(self._adj[0][1][r]):
                 masks = [
-                    self._adj[(0, g)][r] & self._adj[(1, g)][c]
+                    self._adj[0][g][r] & self._adj[1][g][c]
                     for g in range(2, groups)
                 ]
                 chosen: list[int] = []
@@ -110,7 +98,7 @@ class ComplementGraph:
                         return True
                     for v in _bits(masks[depth]):
                         narrowed = [
-                            m & self._adj[(2 + depth, 2 + depth + 1 + i)][v]
+                            m & self._adj[2 + depth][2 + depth + 1 + i][v]
                             for i, m in enumerate(masks[depth + 1 :])
                         ]
                         chosen.append(v)
@@ -140,7 +128,7 @@ class ComplementGraph:
         edges = []
         for a, b in combinations(range(self.groups), 2):
             for x in range(self.n):
-                for y in _bits(self._adj[(a, b)][x]):
+                for y in _bits(self._adj[a][b][x]):
                     edges.append((self.vertex_label(a, x), self.vertex_label(b, y)))
         return edges
 

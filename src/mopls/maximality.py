@@ -2,7 +2,8 @@
 
 A square is maximal when no empty cell admits any entry tuple, i.e.
 every insertion attempt would violate a Latin or word-agreement
-constraint.  The candidate test at an empty cell (r, c) factors into
+constraint.  The candidate test at an empty cell (r, c) reads the
+square's :class:`mopls.core.Projections` and factors into
 
 * per layer j, the symbol must be unused in row r and column c of that
   layer (rules out a second agreement with any word sharing the row or
@@ -11,10 +12,10 @@ constraint.  The candidate test at an empty cell (r, c) factors into
   at any filled cell (rules out two agreements with words sharing
   neither row nor column).
 
-The pair sets also contain pairs coming from cells in the same row or
-column, but those can never reject a tuple that passed the Latin
-filters: matching such a pair would need e_i equal to a symbol already
-used in this row or column at layer i.
+The layer-pair projections also contain pairs coming from cells in the
+same row or column, but those can never reject a tuple that passed the
+Latin filters: matching such a pair would need e_i equal to a symbol
+already used in this row or column at layer i.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import random
 from dataclasses import dataclass
 from math import ceil
 
-from .core import Cell, EntryTuple, KPartialSquare, SquareError
+from .core import Cell, EntryTuple, KPartialSquare, Projections, SquareError
 
 
 @dataclass(frozen=True)
@@ -34,65 +35,43 @@ class ExtensionWitness:
     entries: EntryTuple
 
 
-class _Constraints:
-    """Incremental row/column/pair occupancy for candidate queries."""
+def _candidates(index: Projections, n: int, k: int, cell: Cell) -> list[EntryTuple]:
+    """All entry tuples legal at an empty cell, lexicographically sorted."""
+    r, c = cell
+    table = index.table
+    free = (1 << n) - 1
+    allowed = []
+    for j in range(2, k + 2):
+        mask = free & ~(table[0][j][r] | table[1][j][c])
+        if mask == 0:
+            return []
+        allowed.append(mask)
+    out: list[EntryTuple] = []
+    prefix: list[int] = []
 
-    __slots__ = ("n", "k", "full", "row_free", "col_free", "pairs")
+    def extend(j: int) -> None:
+        if j == k:
+            out.append(tuple(prefix))
+            return
+        mask = allowed[j]
+        for i, e in enumerate(prefix):
+            mask &= ~table[2 + i][2 + j][e]
+        while mask:
+            low = mask & -mask
+            prefix.append(low.bit_length() - 1)
+            extend(j + 1)
+            prefix.pop()
+            mask ^= low
 
-    def __init__(self, square: KPartialSquare):
-        self.n = square.n
-        self.k = square.k
-        self.full = (1 << square.n) - 1
-        # free-symbol bitmask per (row, layer) and (col, layer)
-        self.row_free = [[self.full] * square.k for _ in range(square.n)]
-        self.col_free = [[self.full] * square.k for _ in range(square.n)]
-        self.pairs: dict[tuple[int, int], set[tuple[int, int]]] = {
-            (i, j): set() for i in range(square.k) for j in range(i + 1, square.k)
-        }
-        for cell, entries in square.cells.items():
-            self.add(cell, entries)
-
-    def add(self, cell: Cell, entries: EntryTuple) -> None:
-        r, c = cell
-        for j, e in enumerate(entries):
-            bit = 1 << e
-            self.row_free[r][j] &= ~bit
-            self.col_free[c][j] &= ~bit
-        for i in range(self.k):
-            for j in range(i + 1, self.k):
-                self.pairs[(i, j)].add((entries[i], entries[j]))
-
-    def candidates(self, cell: Cell) -> list[EntryTuple]:
-        """All entry tuples legal at an empty cell, lexicographically sorted."""
-        r, c = cell
-        allowed: list[list[int]] = []
-        for j in range(self.k):
-            mask = self.row_free[r][j] & self.col_free[c][j]
-            if mask == 0:
-                return []
-            allowed.append([s for s in range(self.n) if (mask >> s) & 1])
-        out: list[EntryTuple] = []
-        prefix: list[int] = []
-
-        def extend(j: int) -> None:
-            if j == self.k:
-                out.append(tuple(prefix))
-                return
-            for s in allowed[j]:
-                if all((prefix[i], s) not in self.pairs[(i, j)] for i in range(j)):
-                    prefix.append(s)
-                    extend(j + 1)
-                    prefix.pop()
-
-        extend(0)
-        return out
+    extend(0)
+    return out
 
 
 def candidate_tuples(square: KPartialSquare, cell: Cell) -> list[EntryTuple]:
     """Entry tuples insertable at ``cell`` without breaking any constraint."""
     if square.is_filled(cell):
         raise SquareError(f"cell {cell} is filled, candidates are undefined")
-    return _Constraints(square).candidates(cell)
+    return _candidates(square.projections(), square.n, square.k, cell)
 
 
 def find_extension(square: KPartialSquare) -> ExtensionWitness | None:
@@ -101,9 +80,9 @@ def find_extension(square: KPartialSquare) -> ExtensionWitness | None:
     Returns None exactly when the square is maximal.  Deterministic, so
     repeated calls name the same witness.
     """
-    state = _Constraints(square)
+    index = square.projections()
     for cell in square.empty_cells():
-        cands = state.candidates(cell)
+        cands = _candidates(index, square.n, square.k, cell)
         if cands:
             return ExtensionWitness(cell, cands[0])
     return None
@@ -129,18 +108,18 @@ def maximalize(
     if policy not in ("lex", "random"):
         raise ValueError(f"unknown policy {policy!r}")
     rng = random.Random(seed) if policy == "random" else None
-    state = _Constraints(square)
+    index = square.projections()
     order = list(square.empty_cells())
     if rng is not None:
         rng.shuffle(order)
     cells = dict(square.cells)
     for cell in order:
-        cands = state.candidates(cell)
+        cands = _candidates(index, square.n, square.k, cell)
         if not cands:
             continue
         choice = cands[0] if rng is None else rng.choice(cands)
         cells[cell] = choice
-        state.add(cell, choice)
+        index.add(cell + choice)
     result = KPartialSquare(square.n, square.k, cells)
     # any maximal pair of orthogonal partial Latin squares fills at least
     # a third of the grid; a failure here means a bug, not bad input

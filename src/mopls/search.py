@@ -28,10 +28,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import product
-from math import ceil
+from math import ceil, inf
 from pathlib import Path
 
 from .core import KPartialSquare, SquareError, Word
+from .formats import ParseError
 
 CHECKPOINT_VERSION = 1
 
@@ -211,17 +212,36 @@ def _save_checkpoint(path: Path, n: int, k: int, level: int,
     path.write_text(json.dumps(doc) + "\n")
 
 
+def _is_index(value: object, limit: float = inf) -> bool:
+    return type(value) is int and 0 <= value < limit
+
+
 def _load_checkpoint(path: Path, n: int, k: int, compat: list[int]):
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"checkpoint {path} is not readable JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"checkpoint {path} is not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise SquareError(f"unsupported checkpoint version {doc.get('version')!r}")
+    raw_queue = doc.get("queue")
+    fields_ok = all(_is_index(doc.get(field)) for field in ("n", "k", "level", "nodes"))
+    queue_ok = isinstance(raw_queue, list) and all(
+        isinstance(ix, list) and all(_is_index(i, len(compat)) for i in ix) for ix in raw_queue
+    )
+    if not (fields_ok and queue_ok):
+        raise ParseError(
+            f"checkpoint {path} needs non-negative integers n, k, level and nodes "
+            f"and a queue of word-index lists in 0..{len(compat) - 1}"
+        )
     if doc["n"] != n or doc["k"] != k:
         raise SquareError(
             f"checkpoint is for n={doc['n']}, k={doc['k']}, not n={n}, k={k}"
         )
     queue = []
     full = (1 << len(compat)) - 1
-    for indices in doc["queue"]:
+    for indices in raw_queue:
         mask = full
         for i in indices:
             mask &= compat[i]

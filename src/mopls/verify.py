@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
+from .construct import mopls_plan, mpls_plan
 from .core import Cell, KPartialSquare, SquareError
 from .maximality import is_maximal
 
@@ -467,13 +468,10 @@ def verify_hr_structure(square: KPartialSquare) -> StructureReport:
     """
     if square.k != 1:
         raise SquareError(f"this structure check applies to one layer, got k={square.k}")
-    n = square.n
-    target = ceil(n * n / 2)
-    if square.filled_count != target:
-        return _fail(square, f"filled={square.filled_count}, minimum squares have {target}")
-    expected = (n // 2, n - n // 2) if n > 1 else (1,)
-    expected = tuple(m for m in expected if m > 0)
-    return _verify_block_structure(square, expected, note=None)
+    plan = mpls_plan(square.n)
+    if square.filled_count != plan.filled:
+        return _fail(square, f"filled={square.filled_count}, minimum squares have {plan.filled}")
+    return _verify_block_structure(square, plan.block_orders, note=None)
 
 
 def verify_min_structure(square: KPartialSquare) -> StructureReport:
@@ -492,13 +490,7 @@ def verify_min_structure(square: KPartialSquare) -> StructureReport:
     note = None if n >= 21 else (
         f"n={n} < 21: minimality of fill ceil(n^2/3) is not guaranteed at this order"
     )
-    if square.filled_count != lower_bound(n):
-        return _fail(
-            square,
-            f"filled={square.filled_count}, minimum squares have {lower_bound(n)}",
-            note,
-        )
-    s, r = divmod(n, 3)
-    expected = {0: (s, s, s), 1: (s, s, s + 1), 2: (s, s + 1, s + 1)}[r]
-    expected = tuple(m for m in expected if m > 0)
-    return _verify_block_structure(square, expected, note)
+    plan = mopls_plan(n)
+    if square.filled_count != plan.filled:
+        return _fail(square, f"filled={square.filled_count}, minimum squares have {plan.filled}", note)
+    return _verify_block_structure(square, plan.block_orders, note)

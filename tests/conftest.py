@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from mopls import KPartialSquare
+from mopls import KPartialSquare, Violation
+from mopls.core import _classify
 from mopls.maximality import candidate_tuples
 
 DATA = Path(__file__).parent / "data"
@@ -50,6 +51,30 @@ def oracle_valid_words(words, n: int, k: int) -> bool:
 
 def oracle_valid(square: KPartialSquare) -> bool:
     return oracle_valid_words(square.words(), square.n, square.k)
+
+
+def oracle_violations(square: KPartialSquare) -> tuple[Violation, ...]:
+    """Every violated constraint, comparing each pair of words directly.
+
+    Range violations come first in cell-map order, then one violation
+    per clashing pair of sorted words, in pair order; this is the report
+    ``validate`` must reproduce.
+    """
+    n, k = square.n, square.k
+    violations = []
+    for (r, c), entries in square.cells.items():
+        if not (0 <= r < n and 0 <= c < n) or len(entries) != k or any(
+            not 0 <= e < n for e in entries
+        ):
+            violations.append(
+                Violation("range", ((r, c),), (), f"cell ({r}, {c}) -> {entries} out of range")
+            )
+    words = sorted((cell + e, cell) for cell, e in square.cells.items())
+    for (wi, ci), (wj, cj) in itertools.combinations(words, 2):
+        coords = tuple(p for p, (x, y) in enumerate(zip(wi, wj)) if x == y)
+        if len(coords) >= 2:
+            violations.append(_classify(wi, wj, ci, cj, coords))
+    return tuple(violations)
 
 
 def oracle_candidates(square: KPartialSquare, cell) -> list[tuple]:
@@ -125,6 +150,23 @@ def partial_squares(draw, min_n=1, max_n=6, ks=(1, 2, 3), allow_empty=True):
         if options:
             square = square.insert(cell, rng.choice(options))
     return square
+
+
+@st.composite
+def raw_squares(draw, max_n=5, in_range=True):
+    """Arbitrary cell maps behind the unchecked constructor, mostly invalid.
+
+    With ``in_range=False`` rows, columns and symbols may fall one step
+    outside 0..n-1 and entry tuples may have the wrong length.
+    """
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, 3))
+    value = st.integers(0, n - 1) if in_range else st.integers(-1, n)
+    length = st.just(k) if in_range else st.integers(k - 1, k + 1)
+    entries = length.flatmap(lambda m: st.tuples(*[value] * m))
+    size = draw(st.integers(0, n * n))
+    cells = draw(st.dictionaries(st.tuples(value, value), entries, min_size=size, max_size=size))
+    return KPartialSquare(n, k, cells)
 
 
 @st.composite

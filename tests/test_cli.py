@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from mopls.cli import dispatch, main
+from mopls.cli import main
 from mopls.construct import min_mopls, min_mpls, k_ols
 from mopls.formats import from_text_grid, load_square, save_square, to_json
 from mopls.maximality import is_maximal
@@ -104,6 +104,20 @@ def test_verify_maximal_batch_with_threads(square_file, tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count(": maximal (") == 2
+
+
+def test_verify_maximal_batch_reports_every_file(square_file, tmp_path, capsys):
+    broken = tmp_path / "bad.txt"
+    broken.write_text("not a grid\n")
+    partial = tmp_path / "partial.json"
+    partial.write_text(to_json(min_mopls(9).remove((0, 0))))
+    assert main(["verify", "maximal", str(broken), str(square_file), str(partial)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ", 1)[0] for line in lines] == [str(broken), str(square_file), str(partial)]
+    assert "malformed" in lines[0]
+    assert ": maximal (" in lines[1]
+    assert "extendable at" in lines[2]
+    assert main(["verify", "maximal", str(partial), str(square_file)]) == 1
 
 
 def test_verify_bound_passes_on_minimum_square(square_file, capsys):
@@ -205,6 +219,34 @@ def test_search_min_budget_and_resume(tmp_path, capsys):
     assert "min_size=3" in capsys.readouterr().out
 
 
+def _drop_n(text):
+    doc = json.loads(text)
+    del doc["n"]
+    return json.dumps(doc)
+
+
+def _index_out_of_range(text):
+    doc = json.loads(text)
+    doc["queue"] = [[999]]
+    return json.dumps(doc)
+
+
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_drop_n, _index_out_of_range, _truncate],
+    ids=["missing-n", "index-out-of-range", "truncated"],
+)
+def test_search_min_corrupt_checkpoint_is_malformed_input(tmp_path, capsys, corrupt):
+    cp = tmp_path / "cp.json"
+    assert main(["search", "min", "--n", "3", "--budget", "4", "--checkpoint", str(cp)]) == 0
+    cp.write_text(corrupt(cp.read_text()))
+    assert main(["search", "min", "--n", "3", "--checkpoint", str(cp), "--resume"]) == 3
+    assert "error: checkpoint" in capsys.readouterr().err
+
+
 def test_search_min_resume_without_checkpoint_fails(tmp_path, capsys):
     code = main([
         "search", "min", "--n", "3", "--checkpoint", str(tmp_path / "nope.json"), "--resume",
@@ -293,6 +335,3 @@ def test_module_entrypoint_runs_in_a_subprocess(tmp_path):
     assert proc.returncode == 0
     assert from_text_grid(proc.stdout, k=2) == min_mopls(9)
 
-
-def test_dispatch_is_the_programmatic_entry_point():
-    assert dispatch is main

@@ -8,7 +8,6 @@ from mopls import (
     k_mols_field,
     k_mopls_diagonal,
     k_ols,
-    macneish_product,
     min_mopls,
     min_mpls,
     mopls_plan,
@@ -201,7 +200,3 @@ def test_min_mopls_error_names_blocking_order():
     with pytest.raises(ConstructionError) as exc:
         min_mopls(6)
     assert "2" in str(exc.value)
-
-
-def test_macneish_product_names_the_direct_product():
-    assert macneish_product is product

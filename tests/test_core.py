@@ -9,9 +9,9 @@ from mopls import (
     OrthogonalityConflictError,
     SquareError,
 )
-from mopls.core import agreement_positions, new_empty
+from mopls.core import agreement_positions
 
-from conftest import oracle_valid, partial_squares, square_with_empty_cell
+from conftest import oracle_valid, oracle_violations, partial_squares, raw_squares, square_with_empty_cell
 
 
 def test_empty_square():
@@ -236,12 +236,6 @@ def test_repr_mentions_shape():
     assert "5" in repr(sq) and "3" in repr(sq)
 
 
-def test_new_empty_builds_an_empty_square():
-    square = new_empty(4, 3)
-    assert square == KPartialSquare.empty(4, 3)
-    assert square.filled_count == 0 and square.n == 4 and square.k == 3
-
-
 def test_validate_names_offending_cells():
     # raw constructor skips checks, so validate can see the conflicts
     row_clash = KPartialSquare(3, 2, {(0, 0): (0, 0), (0, 1): (0, 1)})
@@ -261,3 +255,32 @@ def test_validate_names_offending_cells():
     violation = out_of_range.validate().violations[0]
     assert violation.kind == "range"
     assert violation.cells == ((0, 0),)
+
+
+@given(st.one_of(partial_squares(), raw_squares(), raw_squares(in_range=False)))
+def test_validate_matches_the_pairwise_reference(square):
+    report = square.validate()
+    assert report.violations == oracle_violations(square)
+    assert report.ok == (not report.violations)
+
+
+@given(st.one_of(partial_squares(max_n=5), raw_squares()), st.data())
+def test_insert_raises_the_class_of_the_first_reference_violation(square, data):
+    empties = list(square.empty_cells())
+    if not empties:
+        return
+    cell = data.draw(st.sampled_from(empties))
+    entries = data.draw(st.tuples(*[st.integers(0, square.n - 1)] * square.k))
+    merged = {**square.cells, cell: entries}
+    reference = oracle_violations(KPartialSquare(square.n, square.k, merged))
+    if not reference:
+        assert dict(square.insert(cell, entries).cells) == merged
+        return
+    expected = {
+        "latin-row": LatinConflictError,
+        "latin-col": LatinConflictError,
+        "orthogonality": OrthogonalityConflictError,
+    }[reference[0].kind]
+    with pytest.raises(SquareError) as caught:
+        square.insert(cell, entries)
+    assert type(caught.value) is expected
