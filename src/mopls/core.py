@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Integral
 from typing import Iterable, Iterator, Mapping
 
 Cell = tuple[int, int]
@@ -338,9 +339,12 @@ class KPartialSquare:
     def validate(self) -> ValidationReport:
         """Check both invariants; report-valued, never raises."""
         violations: list[Violation] = []
+        n = self.n
         for (r, c), entries in self._cells.items():
-            if not (0 <= r < self.n and 0 <= c < self.n) or len(entries) != self.k or any(
-                not (0 <= e < self.n) for e in entries
+            # non-integers cannot be bits; plain ints skip the slow ABC check
+            if len(entries) != self.k or not all(
+                (type(x) is int or isinstance(x, Integral)) and 0 <= x < n
+                for x in (r, c, *entries)
             ):
                 violations.append(
                     Violation("range", ((r, c),), (), f"cell ({r}, {c}) -> {entries} out of range")

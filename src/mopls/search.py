@@ -17,17 +17,22 @@ completed before the next begins, so the first level containing a
 maximal square proves the minimum size exactly, and completing level F
 with no maximal square proves every maximal square exceeds F.
 
-Canonicity is decided by a depth-first scan over partial relabelings
-that tracks, per remaining word, the least image reachable under the
-current partial assignment; a branch is cut as soon as that least image
-passes the word the canonical list requires next.
+Canonicity is decided exactly.  A first-appearance cut rejects a list
+in which some value first appears above its family's next unused label:
+relabeling in order of first appearance keeps the earlier words and
+lowers that one.  Otherwise a depth-first scan over partial relabelings
+compares each remaining word's least image with the next word of the
+list, one coordinate at a time: an image below it proves a smaller list
+exists and ends the scan, an image above it drops the word, and each
+word whose image equals it is committed in turn, one position deeper.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from math import ceil, inf
 from pathlib import Path
 
@@ -37,22 +42,26 @@ from .formats import ParseError
 CHECKPOINT_VERSION = 1
 
 
-def _agreement(a: Word, b: Word) -> int:
-    return sum(1 for x, y in zip(a, b) if x == y)
-
-
 def _word_table(n: int, k: int) -> list[Word]:
     return list(product(range(n), repeat=k + 2))
 
 
 def _compat_masks(words: list[Word]) -> list[int]:
-    total = len(words)
-    masks = [0] * total
-    for i in range(total):
-        for j in range(i + 1, total):
-            if _agreement(words[i], words[j]) <= 1:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    """``masks[i]`` has bit j set when words i and j agree in at most one coordinate."""
+    width = len(words[0])
+    n = 1 + max(map(max, words))
+    having = [[0] * n for _ in range(width)]
+    for i, w in enumerate(words):
+        for p, x in enumerate(w):
+            having[p][x] |= 1 << i
+    full = (1 << len(words)) - 1
+    pairs = list(combinations(range(width), 2))
+    masks = []
+    for w in words:
+        clash = 0  # the words agreeing with w in some pair (a, b), w included
+        for a, b in pairs:
+            clash |= having[a][w[a]] & having[b][w[b]]
+        masks.append(full & ~clash)
     return masks
 
 
@@ -72,66 +81,68 @@ def _bits_above(mask: int, floor: int):
 # -- canonical forms under row/col/per-layer symbol permutations ------------------
 
 
-def _min_image(word: Word, maps: list[dict[int, int]], used: list[set[int]]) -> Word:
-    """Least image of one word under any completion of the partial maps.
+def _smaller_exists(i: int, left: list[int], target: list[Word],
+                    pairs: list[tuple[tuple[int, int], ...]], lab: list[int], nxt: list[int]) -> bool:
+    """True when the words ``left`` can map below ``target[i:]`` under some
+    completion of the relabeling that maps the committed words onto ``target[:i]``.
 
-    Coordinates belong to distinct families (row, col, each layer), so
-    the minimum is attained coordinate-wise: keep assigned values, give
-    unassigned ones the smallest value unused in their family.
+    ``lab[p * n + x]`` labels value x of family p (row, col, each layer),
+    -1 while unassigned; labels go out in order 0..nxt[p]-1, so a word's
+    least image gives each unassigned value nxt[p].  ``pairs[j]`` lists the
+    (family, slot) pairs of ``target[j]``.  A module-level function, as a
+    recursive closure would leave a reference cycle behind every call.
     """
-    out = []
-    for p, x in enumerate(word):
-        if x in maps[p]:
-            out.append(maps[p][x])
-        else:
-            v = 0
-            while v in used[p]:
-                v += 1
-            out.append(v)
-    return tuple(out)
-
-
-def _commit(word: Word, image: Word, maps: list[dict[int, int]], used: list[set[int]]):
-    new_maps = [dict(m) for m in maps]
-    new_used = [set(u) for u in used]
-    for p, x in enumerate(word):
-        if x not in new_maps[p]:
-            new_maps[p][x] = image[p]
-            new_used[p].add(image[p])
-    return new_maps, new_used
+    if i == len(target):
+        return False  # reached full equality, not strictly smaller
+    if i:
+        goal = target[i]
+        realizers = []
+        for j in left:
+            for p, s in pairs[j]:
+                v = lab[s]
+                if v < 0:
+                    v = nxt[p]
+                if v != goal[p]:
+                    if v < goal[p]:
+                        return True
+                    break
+            else:
+                realizers.append(j)
+    else:
+        realizers = left  # with no labels every least image is 0...0 = target[0]
+    for j in realizers:
+        fresh = []
+        for p, s in pairs[j]:
+            if lab[s] < 0:
+                lab[s] = nxt[p]
+                nxt[p] += 1
+                fresh.append((p, s))
+        found = _smaller_exists(i + 1, [t for t in left if t != j], target, pairs, lab, nxt)
+        for p, s in fresh:
+            lab[s] = -1
+            nxt[p] -= 1
+        if found:
+            return True
+    return False
 
 
 def is_canonical(words: "tuple[Word, ...] | list[Word]") -> bool:
     """True when no relabeling yields a strictly smaller sorted word list."""
-    target = tuple(sorted(words))
+    target = sorted(words)
     if not target:
         return True
     width = len(target[0])
-
-    def smaller_exists(i, maps, used, remaining) -> bool:
-        if i == len(target):
-            return False  # reached full equality, not strictly smaller
-        best: Word | None = None
-        realizers: list[Word] = []
-        for w in remaining:
-            img = _min_image(w, maps, used)
-            if best is None or img < best:
-                best, realizers = img, [w]
-            elif img == best:
-                realizers.append(w)
-        assert best is not None
-        if best < target[i]:
-            return True
-        if best > target[i]:
-            return False
-        for w in realizers:
-            new_maps, new_used = _commit(w, best, maps, used)
-            if smaller_exists(i + 1, new_maps, new_used, remaining - {w}):
-                return True
-        return False
-
-    return not smaller_exists(
-        0, [{} for _ in range(width)], [set() for _ in range(width)], frozenset(target)
+    nxt = [0] * width  # the first-appearance cut
+    for w in target:
+        for p, x in enumerate(w):
+            if x > nxt[p]:
+                return False
+            if x == nxt[p]:
+                nxt[p] += 1
+    n = max(nxt)
+    pairs = [tuple((p, p * n + x) for p, x in enumerate(w)) for w in target]
+    return not _smaller_exists(
+        0, list(range(len(target))), target, pairs, [-1] * (width * n), [0] * width
     )
 
 
@@ -141,33 +152,28 @@ def canonical_form(words: "tuple[Word, ...] | list[Word]") -> tuple[Word, ...]:
     if not source:
         return ()
     width = len(source[0])
-    states = [([{} for _ in range(width)], [set() for _ in range(width)], frozenset(source))]
+    n = 1 + max(map(max, source))
+    # every state committed the same images so far, so they share nxt
+    nxt = [0] * width
+    states = {((-1,) * (width * n), frozenset(source))}
     output: list[Word] = []
-    for _ in range(len(source)):
-        best: Word | None = None
-        chosen: list[tuple[int, Word]] = []  # (state index, word)
-        for si, (maps, used, remaining) in enumerate(states):
-            for w in remaining:
-                img = _min_image(w, maps, used)
-                if best is None or img < best:
-                    best, chosen = img, [(si, w)]
-                elif img == best:
-                    chosen.append((si, w))
-        assert best is not None
+    for _ in source:
+        images = [
+            (tuple(nxt[p] if lab[p * n + x] < 0 else lab[p * n + x] for p, x in enumerate(w)),
+             lab, remaining, w)
+            for lab, remaining in states
+            for w in remaining
+        ]
+        best = min(image for image, _, _, _ in images)
         output.append(best)
-        next_states = []
-        seen = set()
-        for si, w in chosen:
-            maps, used, remaining = states[si]
-            new_maps, new_used = _commit(w, best, maps, used)
-            key = (
-                tuple(tuple(sorted(m.items())) for m in new_maps),
-                remaining - {w},
-            )
-            if key not in seen:
-                seen.add(key)
-                next_states.append((new_maps, new_used, remaining - {w}))
-        states = next_states
+        states = set()
+        for image, lab, remaining, w in images:
+            if image == best:
+                new_lab = list(lab)
+                for p, x in enumerate(w):
+                    new_lab[p * n + x] = best[p]
+                states.add((tuple(new_lab), remaining - {w}))
+        nxt = [max(c, v + 1) for c, v in zip(nxt, best)]
     return tuple(output)
 
 
@@ -209,7 +215,13 @@ def _save_checkpoint(path: Path, n: int, k: int, level: int,
         "nodes": nodes,
         "queue": [list(words) for words, _ in queue],
     }
-    path.write_text(json.dumps(doc) + "\n")
+    # an interrupted save leaves the previous checkpoint whole
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(doc) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _is_index(value: object, limit: float = inf) -> bool:

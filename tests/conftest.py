@@ -93,6 +93,16 @@ def oracle_is_maximal(square: KPartialSquare) -> bool:
     return all(not oracle_candidates(square, cell) for cell in square.empty_cells())
 
 
+def oracle_canonical_form(words, n: int, k: int) -> tuple:
+    """Least sorted word list over every row, column and per-layer symbol permutation."""
+    words = list(words)
+    perms = list(itertools.permutations(range(n)))
+    return min(
+        tuple(sorted(tuple(maps[p][x] for p, x in enumerate(w)) for w in words))
+        for maps in itertools.product(perms, repeat=k + 2)
+    )
+
+
 def oracle_min_distance(words) -> int:
     return min(
         sum(x != y for x, y in zip(a, b)) for a, b in itertools.combinations(words, 2)

@@ -257,6 +257,17 @@ def test_validate_names_offending_cells():
     assert violation.cells == ((0, 0),)
 
 
+@pytest.mark.parametrize(
+    "cells", [{(0, 0): (1.0,)}, {(0.0, 1): (2,)}, {(0, 0): (0,), (1, 1): (2.5,)}]
+)
+def test_non_integer_values_are_range_violations(cells):
+    report = KPartialSquare(3, 1, cells).validate()
+    assert [v.kind for v in report.violations] == ["range"]
+    with pytest.raises(SquareError) as caught:
+        KPartialSquare.from_cells(3, 1, cells)
+    assert type(caught.value) is SquareError
+
+
 @given(st.one_of(partial_squares(), raw_squares(), raw_squares(in_range=False)))
 def test_validate_matches_the_pairwise_reference(square):
     report = square.validate()

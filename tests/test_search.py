@@ -1,12 +1,19 @@
 """Tests for canonical forms and the exhaustive minimum-size search."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_is_maximal, partial_squares
+from conftest import (
+    oracle_agreements,
+    oracle_canonical_form,
+    oracle_is_maximal,
+    partial_squares,
+)
+from mopls import search
 from mopls.core import KPartialSquare, SquareError
 from mopls.maximality import is_maximal
 from mopls.search import (
@@ -14,6 +21,12 @@ from mopls.search import (
     is_canonical,
     min_maximal,
     verify_bound_exhaustive,
+)
+
+# orders where brute force over every relabeling stays fast:
+# (3!)**4 = 1296 relabelings at n = 3, k = 2 and (4!)**3 = 13824 at n = 4, k = 1
+oracle_sized_squares = st.one_of(
+    partial_squares(min_n=2, max_n=3, ks=(2,)), partial_squares(min_n=2, max_n=4, ks=(1,))
 )
 
 
@@ -53,6 +66,32 @@ def test_canonical_form_is_relabel_invariant(square, data):
     ]
     shuffled = square.relabel(perms[0], perms[1], perms[2:])
     assert canonical_form(shuffled.words()) == canonical_form(square.words())
+
+
+@given(oracle_sized_squares, st.data())
+def test_is_canonical_matches_the_brute_force_oracle(square, data):
+    words = list(square.words())
+    least = oracle_canonical_form(words, square.n, square.k)
+    assert is_canonical(data.draw(st.permutations(words))) == (least == tuple(words))
+    assert is_canonical(list(least))
+
+
+@given(oracle_sized_squares)
+def test_canonical_form_matches_the_brute_force_oracle(square):
+    assert canonical_form(square.words()) == oracle_canonical_form(
+        square.words(), square.n, square.k
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_compat_masks_match_pairwise_agreement(n, k):
+    table = search._word_table(n, k)
+    expected = [
+        sum(1 << j for j, b in enumerate(table) if j != i and oracle_agreements(a, b) <= 1)
+        for i, a in enumerate(table)
+    ]
+    assert search._compat_masks(table) == expected
 
 
 def test_canonical_square_stays_canonical_after_largest_word_removed():
@@ -129,6 +168,34 @@ def test_checkpoint_resume_completes_an_interrupted_run(tmp_path):
     assert resumed.nodes == fresh.nodes
     assert resumed.levels_completed == fresh.levels_completed
     assert is_maximal(resumed.witness)
+
+
+def _fail(*args, **kwargs):
+    raise OSError("simulated failure")
+
+
+def _write_half_then_fail(self, data, *args, **kwargs):
+    with open(self, "w") as fh:
+        fh.write(data[: len(data) // 2])
+    raise OSError("simulated disk full")
+
+
+@pytest.mark.parametrize(
+    "owner, name, failing",
+    [(json, "dumps", _fail), (Path, "write_text", _write_half_then_fail)],
+    ids=["dumps-raises", "write-stops-half-way"],
+)
+def test_failed_checkpoint_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, owner, name, failing):
+    cp = tmp_path / "level.json"
+    min_maximal(3, budget=4, checkpoint=cp)
+    before = cp.read_bytes()
+    monkeypatch.setattr(owner, name, failing)
+    with pytest.raises(OSError, match="simulated"):
+        min_maximal(3, checkpoint=cp, resume=True)
+    monkeypatch.undo()
+    assert cp.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["level.json"]
+    assert min_maximal(3, checkpoint=cp, resume=True).nodes == min_maximal(3).nodes
 
 
 def test_resume_requires_an_existing_checkpoint(tmp_path):
