@@ -56,6 +56,21 @@ def agreement_positions(a: Word, b: Word) -> tuple[int, ...]:
     return tuple(i for i, (x, y) in enumerate(zip(a, b)) if x == y)
 
 
+def _integer_word(cell: object, entries: object) -> Word | None:
+    """The word of a cell whose row, column and entries are all integers, else None.
+
+    Only such words can be sorted, compared and indexed; a cell holding
+    anything else is reported as a range violation and compared with nothing.
+    """
+    if not (isinstance(cell, tuple) and len(cell) == 2 and isinstance(entries, tuple)):
+        return None
+    word = cell + entries
+    for x in word:
+        if type(x) is not int and not isinstance(x, Integral):  # plain ints skip the ABC check
+            return None
+    return word
+
+
 @dataclass(frozen=True)
 class Violation:
     """One violated pairwise constraint, naming the offending cells.
@@ -340,16 +355,16 @@ class KPartialSquare:
         """Check both invariants; report-valued, never raises."""
         violations: list[Violation] = []
         n = self.n
-        for (r, c), entries in self._cells.items():
-            # non-integers cannot be bits; plain ints skip the slow ABC check
-            if len(entries) != self.k or not all(
-                (type(x) is int or isinstance(x, Integral)) and 0 <= x < n
-                for x in (r, c, *entries)
-            ):
+        words = []
+        for cell, entries in self._cells.items():
+            word = _integer_word(cell, entries)
+            if word is None or len(entries) != self.k or min(word) < 0 or max(word) >= n:
                 violations.append(
-                    Violation("range", ((r, c),), (), f"cell ({r}, {c}) -> {entries} out of range")
+                    Violation("range", (cell,), (), f"cell {cell} -> {entries} out of range")
                 )
-        words = sorted((cell + e, cell) for cell, e in self._cells.items())
+            if word is not None:
+                words.append((word, cell))
+        words.sort()
         # only a word that clashes with the index is compared with the earlier
         # words, to name the other cell; out-of-range values cannot be bits,
         # so then every word is compared

@@ -25,6 +25,22 @@ compares each remaining word's least image with the next word of the
 list, one coordinate at a time: an image below it proves a smaller list
 exists and ends the scan, an image above it drops the word, and each
 word whose image equals it is committed in turn, one position deeper.
+
+Both searches ask about every child C of a canonical parent P in turn,
+and C's scan would repeat P's.  So ``is_canonical`` decides C from the scan
+of its prefix P = sorted(C)[:-1] and its one new word w.  C can be
+canonical only if P is.  When P is canonical its scan finds nothing
+smaller, so it visits every tie node (depth, labels, remaining words);
+these nodes, in depth-first order, form P's tie tree.  Every branch of
+C's scan either passes through a tie node of P, where w may be the word
+whose least image falls below the list, or commits w at some depth.  So
+C is canonical exactly when w passes the cut against P's labels, w's
+least image at no tie node falls below the list's word at that depth (at
+a leaf, where P maps onto itself, below w itself), and the scan finishes
+without a smaller list from each tie node where w's image equals that
+word.  P's tie tree is built once and kept in a single-entry cache keyed
+by P, an immutable tuple replaced whole, so every child of P after the
+first reuses it and the cache never holds more than one tree.
 """
 
 from __future__ import annotations
@@ -35,6 +51,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import ceil, inf
 from pathlib import Path
+from typing import Sequence
 
 from .core import KPartialSquare, SquareError, Word
 from .formats import ParseError
@@ -81,17 +98,24 @@ def _bits_above(mask: int, floor: int):
 # -- canonical forms under row/col/per-layer symbol permutations ------------------
 
 
-def _smaller_exists(i: int, left: list[int], target: list[Word],
-                    pairs: list[tuple[tuple[int, int], ...]], lab: list[int], nxt: list[int]) -> bool:
+def _smaller_exists(i: int, left: list[int], target: Sequence[Word],
+                    pairs: Sequence[tuple[tuple[int, int], ...]], lab: list[int], nxt: list[int],
+                    nodes: list | None = None) -> bool:
     """True when the words ``left`` can map below ``target[i:]`` under some
     completion of the relabeling that maps the committed words onto ``target[:i]``.
 
     ``lab[p * n + x]`` labels value x of family p (row, col, each layer),
     -1 while unassigned; labels go out in order 0..nxt[p]-1, so a word's
     least image gives each unassigned value nxt[p].  ``pairs[j]`` lists the
-    (family, slot) pairs of ``target[j]``.  A module-level function, as a
-    recursive closure would leave a reference cycle behind every call.
+    (family, slot) pairs of ``target[j]``.  ``nodes``, when given, receives
+    every node the scan visits as (depth, label table, nxt, remaining
+    words), lists that nothing mutates afterwards.  A module-level
+    function, as a recursive closure would leave a reference cycle behind
+    every call.
     """
+    if nodes is not None:
+        # list copies, as tuple copies would linger in the tuple freelists
+        nodes.append((i, lab[:], nxt[:], left))
     if i == len(target):
         return False  # reached full equality, not strictly smaller
     if i:
@@ -117,7 +141,7 @@ def _smaller_exists(i: int, left: list[int], target: list[Word],
                 lab[s] = nxt[p]
                 nxt[p] += 1
                 fresh.append((p, s))
-        found = _smaller_exists(i + 1, [t for t in left if t != j], target, pairs, lab, nxt)
+        found = _smaller_exists(i + 1, [t for t in left if t != j], target, pairs, lab, nxt, nodes)
         for p, s in fresh:
             lab[s] = -1
             nxt[p] -= 1
@@ -126,24 +150,85 @@ def _smaller_exists(i: int, left: list[int], target: list[Word],
     return False
 
 
-def is_canonical(words: "tuple[Word, ...] | list[Word]") -> bool:
-    """True when no relabeling yields a strictly smaller sorted word list."""
-    target = sorted(words)
-    if not target:
-        return True
-    width = len(target[0])
+def _prefix_scan(prefix: "tuple[Word, ...]"):
+    """The exact scan of a non-empty sorted list, kept to decide its children.
+
+    None when the list fails the first-appearance cut or is not canonical.
+    Otherwise (nodes, pairs, nxt, n): the tie tree, every node the scan
+    visits in depth-first order as (depth, label table, nxt, remaining
+    words); the (family, slot) pairs of each word; each family's next
+    unused label; and the slot width n, which leaves room for one more
+    value in every family, so that it does not depend on the child.
+    """
+    width = len(prefix[0])
     nxt = [0] * width  # the first-appearance cut
-    for w in target:
+    for w in prefix:
         for p, x in enumerate(w):
             if x > nxt[p]:
-                return False
+                return None
             if x == nxt[p]:
                 nxt[p] += 1
-    n = max(nxt)
-    pairs = [tuple((p, p * n + x) for p, x in enumerate(w)) for w in target]
-    return not _smaller_exists(
-        0, list(range(len(target))), target, pairs, [-1] * (width * n), [0] * width
-    )
+    n = 1 + max(nxt)
+    pairs = tuple(tuple((p, p * n + x) for p, x in enumerate(w)) for w in prefix)
+    nodes: list = []
+    if _smaller_exists(0, list(range(len(prefix))), prefix, pairs, [-1] * (width * n), [0] * width, nodes):
+        return None
+    return tuple(nodes), pairs, tuple(nxt), n
+
+
+# (prefix, _prefix_scan(prefix)) for the last prefix seen: the searches decide
+# a parent's children one after another, so all but the first reuse it.
+# Replaced whole, never mutated, so it holds one tie tree at most.
+_last_scan: tuple = ((), None)
+
+
+def is_canonical(words: "tuple[Word, ...] | list[Word]") -> bool:
+    """True when no relabeling yields a strictly smaller sorted word list."""
+    global _last_scan
+    target = sorted(words)
+    if len(target) < 2:
+        return not target or not any(target[0])  # the cut leaves one word 0...0
+    prefix = tuple(target[:-1])
+    key, scan = _last_scan
+    if key != prefix:
+        scan = _prefix_scan(prefix)
+        _last_scan = (prefix, scan)
+    if scan is None:
+        return False  # a canonical list keeps a canonical prefix
+    nodes, pairs, nxt, n = scan
+    w = target[-1]  # the one new word
+    for x, c in zip(w, nxt):
+        if x > c:
+            return False  # the first-appearance cut
+    wp = tuple((p, p * n + x) for p, x in enumerate(w))
+    size = len(prefix)
+    branches = []
+    for i, lab, used, left in nodes:
+        goal = target[i]
+        for p, s in wp:
+            v = lab[s]
+            if v < 0:
+                v = used[p]
+            if v != goal[p]:
+                if v < goal[p]:
+                    return False  # w maps below word i (at a leaf, below itself)
+                break
+        else:
+            if i < size:
+                branches.append((i, lab, used, left))
+    # at each tie, w takes position i and the scan finishes from there
+    if branches:
+        pairs += (wp,)
+        for i, lab, used, left in branches:
+            lab = list(lab)
+            used = list(used)
+            for p, s in wp:
+                if lab[s] < 0:
+                    lab[s] = used[p]
+                    used[p] += 1
+            if _smaller_exists(i + 1, left, target, pairs, lab, used):
+                return False
+    return True
 
 
 def canonical_form(words: "tuple[Word, ...] | list[Word]") -> tuple[Word, ...]:
@@ -203,6 +288,38 @@ class SearchResult:
 
 class _Budget(Exception):
     pass
+
+
+def _levels(table: list[Word], compat: list[int], level: int = 0,
+            queue: "list[tuple[tuple[int, ...], int]] | None" = None, budget: int | None = None):
+    """Yield ``(level, queue)`` for the given level and each level grown from it.
+
+    A queue lists the canonical squares of one size in enumeration order,
+    each as (word indices, mask of the words compatible with all of them);
+    it defaults to the empty square.  The next level holds their canonical
+    children, each square grown only by words above its last.  Stops after
+    an empty level; raises ``_Budget`` instead of accepting more than
+    ``budget`` children.
+    """
+    if queue is None:
+        queue = [((), (1 << len(table)) - 1)]
+    spent = 0
+    while True:
+        yield level, queue
+        if not queue:
+            return
+        next_queue = []
+        for words_idx, mask in queue:
+            floor = words_idx[-1] if words_idx else -1
+            for w in _bits_above(mask, floor):
+                child = words_idx + (w,)
+                if is_canonical([table[i] for i in child]):
+                    if budget is not None and spent >= budget:
+                        raise _Budget
+                    spent += 1
+                    next_queue.append((child, mask & compat[w]))
+        level += 1
+        queue = next_queue
 
 
 def _save_checkpoint(path: Path, n: int, k: int, level: int,
@@ -283,48 +400,30 @@ def min_maximal(
     """
     table = _word_table(n, k)
     compat = _compat_masks(table)
-    full = (1 << len(table)) - 1
 
-    level_num = 0
-    queue: list[tuple[tuple[int, ...], int]] = [((), full)]
-    nodes = 0
+    start, queue, nodes = 0, None, 0
     cp_path = Path(checkpoint) if checkpoint else None
     if resume:
         if cp_path is None or not cp_path.exists():
             raise SquareError("resume requested but no checkpoint file found")
-        level_num, queue, nodes = _load_checkpoint(cp_path, n, k, compat)
+        start, queue, nodes = _load_checkpoint(cp_path, n, k, compat)
 
-    spent = 0
     exhausted_budget = False
     min_size = None
     witness = None
-
-    while queue:
-        maximal_here = [entry for entry in queue if entry[1] == 0]
-        if maximal_here:
-            min_size = level_num
-            words = [table[i] for i in maximal_here[0][0]]
-            witness = _to_square(n, k, words)
-            break
-        next_queue: list[tuple[tuple[int, ...], int]] = []
-        try:
-            for words_idx, mask in queue:
-                floor = words_idx[-1] if words_idx else -1
-                for w in _bits_above(mask, floor):
-                    child = words_idx + (w,)
-                    if is_canonical([table[i] for i in child]):
-                        if budget is not None and spent >= budget:
-                            raise _Budget
-                        spent += 1
-                        next_queue.append((child, mask & compat[w]))
-        except _Budget:
-            exhausted_budget = True
-            if cp_path is not None:
-                _save_checkpoint(cp_path, n, k, level_num, queue, nodes)
-            break
-        level_num += 1
-        nodes += len(next_queue)
-        queue = next_queue
+    try:
+        for level_num, queue in _levels(table, compat, start, queue, budget):
+            if level_num > start:
+                nodes += len(queue)
+                if cp_path is not None:
+                    _save_checkpoint(cp_path, n, k, level_num, queue, nodes)
+            maximal = next((words for words, mask in queue if mask == 0), None)
+            if maximal is not None:
+                min_size = level_num
+                witness = _to_square(n, k, [table[i] for i in maximal])
+                break
+    except _Budget:
+        exhausted_budget = True
         if cp_path is not None:
             _save_checkpoint(cp_path, n, k, level_num, queue, nodes)
 
@@ -383,17 +482,14 @@ def verify_bound_exhaustive(n: int, k: int = 2) -> ExhaustiveReport:
     decided when n is divisible by 3 and the minimum meets n^2 / 3).
     """
     table = _word_table(n, k)
-    compat = _compat_masks(table)
-    full = (1 << len(table)) - 1
-
-    queue: list[tuple[tuple[int, ...], int]] = [((), full)]
-    level = 0
     nodes = 0
     histogram: dict[int, int] = {}
     min_size: int | None = None
     minimum_witnesses: list[KPartialSquare] = []
 
-    while queue:
+    for level, queue in _levels(table, _compat_masks(table)):
+        if level:
+            nodes += len(queue)
         for words_idx, mask in queue:
             if mask == 0 and words_idx:
                 histogram[level] = histogram.get(level, 0) + 1
@@ -403,16 +499,6 @@ def verify_bound_exhaustive(n: int, k: int = 2) -> ExhaustiveReport:
                     minimum_witnesses.append(
                         _to_square(n, k, [table[i] for i in words_idx])
                     )
-        next_queue = []
-        for words_idx, mask in queue:
-            floor = words_idx[-1] if words_idx else -1
-            for w in _bits_above(mask, floor):
-                child = words_idx + (w,)
-                if is_canonical([table[i] for i in child]):
-                    next_queue.append((child, mask & compat[w]))
-        nodes += len(next_queue)
-        queue = next_queue
-        level += 1
 
     bound = ceil(n * n / 3) if k == 2 else 1
     all_ok = all(size >= bound for size in histogram) if k == 2 else True

@@ -11,6 +11,7 @@ import itertools
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -101,6 +102,45 @@ def oracle_canonical_form(words, n: int, k: int) -> tuple:
         tuple(sorted(tuple(maps[p][x] for p, x in enumerate(w)) for w in words))
         for maps in itertools.product(perms, repeat=k + 2)
     )
+
+
+def oracle_canonical_children(parent, candidates, n: int, k: int) -> list[bool]:
+    """For each word w of ``candidates``, each above every word of ``parent``,
+    whether ``sorted(parent) + [w]`` is the least sorted list over every row,
+    column and per-layer symbol permutation: ``oracle_canonical_form``'s
+    enumeration, vectorized over the permutations and the candidates.
+
+    A word is coded as its base-n number, which orders words as tuples do.
+    """
+    width = k + 2
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int16)
+    scale = n ** np.arange(width - 1, -1, -1, dtype=np.int16)
+
+    def codes(words) -> np.ndarray:
+        return np.array(words, dtype=np.int16).reshape(-1, width) @ scale
+
+    def images(words) -> np.ndarray:  # [s, j]: the code of word j under relabeling s
+        words = np.array(words, dtype=np.int16).reshape(-1, width)
+        total = np.zeros((1,) * width + (len(words),), dtype=np.int16)
+        for p in range(width):
+            shape = [1] * width + [len(words)]
+            shape[p] = len(perms)
+            total = total + (perms[:, words[:, p]] * scale[p]).reshape(shape)
+        return total.reshape(len(perms) ** width, len(words))
+
+    parent = sorted(parent)
+    moved, added = images(parent), images(candidates)
+    lists = np.concatenate(
+        [np.broadcast_to(moved[:, None, :], added.shape + (len(parent),)), added[:, :, None]], axis=2
+    )
+    lists.sort(axis=2)
+    targets = np.concatenate(
+        [np.broadcast_to(codes(parent), (len(candidates), len(parent))), codes(candidates)[:, None]], axis=1
+    )
+    diff = lists - targets
+    first = (diff != 0).argmax(axis=2)
+    smaller = np.take_along_axis(diff, first[..., None], axis=2)[..., 0] < 0
+    return [not s for s in smaller.any(axis=0)]
 
 
 def oracle_min_distance(words) -> int:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from mopls.cli import main
+from mopls.cli import build_parser, main
 from mopls.construct import min_mopls, min_mpls, k_ols
 from mopls.formats import from_text_grid, load_square, save_square, to_json
 from mopls.maximality import is_maximal
@@ -323,6 +323,22 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "mopls" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["--version"], ["search", "min", "--help"], ["frobnicate"],
+     ["construct", "min-mopls"], ["search", "min", "--n", "two"], ["verify", "maximal"]],
+    ids=["help", "version", "subcommand-help", "unknown-command", "missing-flag", "bad-integer", "no-files"],
+)
+def test_shared_parser_prints_what_a_fresh_parser_prints(argv, capsys):
+    printed = []
+    for parse in (main, main, build_parser().parse_args, main):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        printed.append((exc.value.code, capsys.readouterr()))
+    assert printed[0][0] in (0, 2)
+    assert printed.count(printed[0]) == len(printed)
 
 
 def test_module_entrypoint_runs_in_a_subprocess(tmp_path):

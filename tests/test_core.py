@@ -258,7 +258,8 @@ def test_validate_names_offending_cells():
 
 
 @pytest.mark.parametrize(
-    "cells", [{(0, 0): (1.0,)}, {(0.0, 1): (2,)}, {(0, 0): (0,), (1, 1): (2.5,)}]
+    "cells",
+    [{(0, 0): (1.0,)}, {(0.0, 1): (2,)}, {(0, 0): (0,), (1, 1): (2.5,)}, {("a", 0): (0,), (0, 0): (1,)}],
 )
 def test_non_integer_values_are_range_violations(cells):
     report = KPartialSquare(3, 1, cells).validate()
@@ -266,6 +267,17 @@ def test_non_integer_values_are_range_violations(cells):
     with pytest.raises(SquareError) as caught:
         KPartialSquare.from_cells(3, 1, cells)
     assert type(caught.value) is SquareError
+
+
+@pytest.mark.parametrize(
+    "cells, kinds",
+    [({(0, 0): 5}, ["range"]),
+     # the unsortable cell is reported and skipped; (0, 0) and (0, 1) still clash
+     ({("a", 0): (1,), (0, 0): (1,), (0, 1): (1,)}, ["range", "latin-row"])],
+    ids=["entries-not-a-sequence", "non-numeric-row-beside-a-clash"],
+)
+def test_validate_reports_unsortable_cells_without_raising(cells, kinds):
+    assert [v.kind for v in KPartialSquare(3, 1, cells).validate().violations] == kinds
 
 
 @given(st.one_of(partial_squares(), raw_squares(), raw_squares(in_range=False)))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     oracle_agreements,
+    oracle_canonical_children,
     oracle_canonical_form,
     oracle_is_maximal,
     partial_squares,
@@ -81,6 +82,59 @@ def test_canonical_form_matches_the_brute_force_oracle(square):
     assert canonical_form(square.words()) == oracle_canonical_form(
         square.words(), square.n, square.k
     )
+
+
+def _canonical_parents(n, k, levels=None):
+    """The canonical squares of at most ``levels`` words (of every size when
+    None), in enumeration order, as word-index tuples."""
+    table = search._word_table(n, k)
+    parents = []
+    for level, queue in search._levels(table, search._compat_masks(table)):
+        if levels is not None and level > levels:
+            break
+        parents += [words for words, _ in queue]
+    return table, parents
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 1)])
+def test_batch_oracle_matches_the_brute_force_oracle(n, k):
+    table, parents = _canonical_parents(n, k)
+    for ix in parents:
+        parent = [table[i] for i in ix]
+        above = table[ix[-1] + 1 if ix else 0:]
+        verdicts = oracle_canonical_children(parent, above, n, k)
+        assert verdicts == [oracle_canonical_form(parent + [w], n, k) == tuple(parent + [w]) for w in above]
+
+
+@pytest.mark.parametrize("n, k, levels", [(2, 2, None), (3, 2, None), (2, 1, None), (3, 1, None), (4, 1, 3)])
+def test_children_match_the_oracle_across_cache_hits_and_misses(n, k, levels):
+    """Every word above a canonical parent's last, compatible or not, makes a
+    child; two children of each parent in turn make a miss, then a hit."""
+    table, parents = _canonical_parents(n, k, levels)
+    expected = {}
+    pending = []
+    for ix in parents:
+        above = range(ix[-1] + 1 if ix else 0, len(table))
+        verdicts = oracle_canonical_children([table[i] for i in ix], [table[w] for w in above], n, k)
+        expected.update((ix + (w,), verdict) for w, verdict in zip(above, verdicts))
+        pending.append([ix + (w,) for w in above])
+    assert any(expected.values()) and not all(expected.values())
+    while any(pending):
+        for children in pending:
+            for child in children[:2]:
+                assert is_canonical([table[i] for i in child]) == expected[child], child
+            del children[:2]
+
+
+def test_child_of_a_non_canonical_prefix_is_not_canonical():
+    # both lists pass the first-appearance cut, but a relabeling lowers the
+    # prefix, and with it every list that extends the prefix by a larger word
+    prefix = [(0, 0, 0, 0), (0, 1, 1, 1), (1, 1, 2, 2)]
+    child = prefix + [(1, 2, 0, 1)]
+    assert oracle_canonical_form(prefix, 3, 2) < tuple(prefix)
+    assert oracle_canonical_form(child, 3, 2) < tuple(child)
+    for words in (child, child, prefix[:2] + [(1, 2, 2, 2)], child):
+        assert is_canonical(words) == (oracle_canonical_form(words, 3, 2) == tuple(words))
 
 
 @pytest.mark.parametrize("n", [2, 3])
