@@ -32,9 +32,7 @@ from .formats import (
     from_json,
     from_text_grid,
     load_square,
-    parse,
     save_square,
-    serialize,
     to_json,
     to_text_grid,
 )
@@ -104,10 +102,8 @@ __all__ = [
     "min_mpls",
     "mopls_plan",
     "mpls_plan",
-    "parse",
     "product",
     "save_square",
-    "serialize",
     "to_code",
     "to_json",
     "to_text_grid",

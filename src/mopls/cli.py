@@ -8,7 +8,9 @@ code of a square, and ``export graph`` writes the complement graph.
 Every invocation that writes an output file also writes a
 ``<out>.manifest.json`` next to it recording the command line, parsed
 parameters, SHA-256 digests of inputs and outputs, tool version, and
-wall time.
+wall time.  Outputs and manifests alike are written with
+:func:`mopls.formats.write_atomic`, so a failed write leaves the previous
+file whole.
 
 Exit codes: 0 success; 1 a verification failed; 2 usage error;
 3 malformed input file; 4 parameters are infeasible (for example a
@@ -32,7 +34,7 @@ from . import __version__
 from .codes import check_code_equivalence, code_to_json, to_code
 from .construct import ConstructionError, k_mopls_diagonal, k_ols, min_mopls, min_mpls
 from .core import KPartialSquare, SquareError
-from .formats import MAX_TEXT_ORDER, ParseError, load_square, to_json, to_text_grid
+from .formats import MAX_TEXT_ORDER, ParseError, json_document, load_square, save_square, to_json, to_text_grid, write_atomic
 from .graphview import complement
 from .maximality import find_extension, maximalize
 from .search import min_maximal
@@ -65,7 +67,7 @@ class RunContext:
         return square
 
     def write_text(self, path: Path, text: str) -> None:
-        path.write_text(text)
+        write_atomic(path, text)
         self.outputs.append(path)
 
     def write_manifests(self, parameters: dict[str, Any]) -> None:
@@ -87,12 +89,12 @@ class RunContext:
         }
         for out in self.outputs:
             manifest = out.with_name(out.name + ".manifest.json")
-            manifest.write_text(json.dumps(doc, indent=2) + "\n")
+            write_atomic(manifest, json.dumps(doc, indent=2) + "\n")
 
 
 def _jsonable(value: Any) -> Any:
     if isinstance(value, KPartialSquare):
-        return json.loads(to_json(value))
+        return json_document(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
@@ -114,10 +116,8 @@ def _write_square(ctx: RunContext, args: argparse.Namespace, square: KPartialSqu
     fmt = getattr(args, "format", "auto") or "auto"
     if args.out:
         out = Path(args.out)
-        if fmt == "auto":
-            fmt = "json" if out.suffix.lower() == ".json" else "text"
-        text = to_json(square) if fmt == "json" else to_text_grid(square)
-        ctx.write_text(out, text)
+        save_square(square, out, fmt)
+        ctx.outputs.append(out)
         print(f"wrote {out} ({square.filled_count} filled cells, n={square.n}, k={square.k})")
     else:
         if fmt in ("auto", "text") and square.n <= MAX_TEXT_ORDER:

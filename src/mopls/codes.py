@@ -106,10 +106,6 @@ def covering_radius(code: Code) -> int:
     return radius
 
 
-def radius_within(code: Code, limit: int) -> bool:
-    return covering_radius(code) <= limit
-
-
 @dataclass(frozen=True)
 class CodeReport:
     """Code parameters of a square next to its directly computed maximality.

@@ -56,6 +56,29 @@ def agreement_positions(a: Word, b: Word) -> tuple[int, ...]:
     return tuple(i for i, (x, y) in enumerate(zip(a, b)) if x == y)
 
 
+def bits_above(mask: int, floor: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask`` above ``floor``, ascending."""
+    mask >>= floor + 1
+    base = floor + 1
+    while mask:
+        low = mask & -mask
+        yield base + low.bit_length() - 1
+        mask ^= low
+        # iterating via shifts keeps the big ints small
+        skip = low.bit_length()
+        mask >>= skip
+        base += skip
+
+
+def _as_tuple(value: object) -> object:
+    """``tuple(value)``, or ``value`` itself when it is not iterable, so that
+    ``validate`` reports it instead of the conversion raising."""
+    try:
+        return tuple(value)
+    except TypeError:
+        return value
+
+
 def _integer_word(cell: object, entries: object) -> Word | None:
     """The word of a cell whose row, column and entries are all integers, else None.
 
@@ -197,7 +220,7 @@ class KPartialSquare:
     @classmethod
     def from_cells(cls, n: int, k: int, cells: Mapping[Cell, EntryTuple]) -> "KPartialSquare":
         """Build and validate a square from a cell map; raises on invalid input."""
-        square = cls(n, k, {tuple(c): tuple(e) for c, e in cells.items()})
+        square = cls(n, k, {_as_tuple(c): _as_tuple(e) for c, e in cells.items()})
         report = square.validate()
         if not report.ok:
             first = report.violations[0]

@@ -1,6 +1,6 @@
-"""Text-grid and JSON serialization for k-layer partial squares.
+"""Every file ``mopls`` reads or writes goes through this module.
 
-Two formats:
+Two square formats:
 
 * **text grid**: n lines of n whitespace-separated tokens; a token is
   ``-`` for an empty cell or k base-36 digits giving the cell's entry
@@ -11,13 +11,20 @@ Two formats:
   explicit ``n`` and ``k`` and 0-based cells.  Lossless for every square
   including the empty one; preferred for machine interchange.
 
-Both parsers re-validate the square on load and raise :class:`ParseError`
-on malformed input.
+:func:`load_square` is the one square reader: it tells JSON from a grid
+by a leading brace.  Both parsers re-validate the square on load, and
+every malformed, unreadable or undecodable input raises
+:class:`ParseError`.  :func:`save_square` is the one square writer and
+picks the format by suffix.  Squares, the CLI's other outputs, their
+manifests and search checkpoints are all written by :func:`write_atomic`,
+which replaces the target whole, and checkpoints are read by
+:func:`read_json`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any
 
@@ -105,8 +112,9 @@ def from_text_grid(text: str, k: int | None = None) -> KPartialSquare:
         raise ParseError(f"grid is not a valid square: {exc}") from exc
 
 
-def to_json(square: KPartialSquare) -> str:
-    doc: dict[str, Any] = {
+def json_document(square: KPartialSquare) -> dict[str, Any]:
+    """The structured JSON document of a square, as :func:`to_json` writes it."""
+    return {
         "format": JSON_FORMAT,
         "version": JSON_VERSION,
         "n": square.n,
@@ -116,7 +124,10 @@ def to_json(square: KPartialSquare) -> str:
             for (r, c) in sorted(square.cells)
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def to_json(square: KPartialSquare) -> str:
+    return json.dumps(json_document(square), indent=2) + "\n"
 
 
 def from_json(text: str) -> KPartialSquare:
@@ -152,12 +163,17 @@ def from_json(text: str) -> KPartialSquare:
         raise ParseError(f"document is not a valid square: {exc}") from exc
 
 
-def loads(text: str, k: int | None = None) -> KPartialSquare:
-    """Parse either format, sniffing JSON by a leading brace."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return from_json(text)
-    return from_text_grid(text, k=k)
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` so that a failed or interrupted write leaves
+    the previous file whole: through ``<path>.tmp`` and ``os.replace``, with
+    the temporary file removed on any failure (no fsync, so a power loss is
+    not covered)."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_square(square: KPartialSquare, path: str | Path, fmt: str = "auto") -> None:
@@ -166,31 +182,28 @@ def save_square(square: KPartialSquare, path: str | Path, fmt: str = "auto") -> 
     if fmt == "auto":
         fmt = "json" if path.suffix.lower() == ".json" else "text"
     if fmt == "json":
-        path.write_text(to_json(square))
+        write_atomic(path, to_json(square))
     elif fmt == "text":
-        path.write_text(to_text_grid(square))
+        write_atomic(path, to_text_grid(square))
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
 
 def load_square(path: str | Path, k: int | None = None) -> KPartialSquare:
+    """Read a square in either format, sniffing JSON by a leading brace."""
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return loads(text, k=k)
+    if text.lstrip().startswith("{"):
+        return from_json(text)
+    return from_text_grid(text, k=k)
 
 
-def serialize(square: KPartialSquare, fmt: str = "json") -> str:
-    """Render a square in the named format; inverse of parse."""
-    if fmt == "json":
-        return to_json(square)
-    if fmt == "text":
-        return to_text_grid(square)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def parse(data: "str | bytes", k: int | None = None) -> KPartialSquare:
-    text = data.decode() if isinstance(data, bytes) else data
-    return loads(text, k=k)
+def read_json(path: Path, what: str) -> Any:
+    """The JSON value in the file at ``path``; ``what`` names the file in errors."""
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"{what} {path} is not readable JSON: {exc}") from exc

@@ -23,14 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .core import KPartialSquare
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .core import KPartialSquare, bits_above
 
 
 class ComplementGraph:
@@ -86,7 +79,7 @@ class ComplementGraph:
         """
         n, groups = self.n, self.groups
         for r in range(n):
-            for c in _bits(self._adj[0][1][r]):
+            for c in bits_above(self._adj[0][1][r], -1):
                 masks = [
                     self._adj[0][g][r] & self._adj[1][g][c]
                     for g in range(2, groups)
@@ -96,7 +89,7 @@ class ComplementGraph:
                 def extend(depth: int, masks: list[int]) -> bool:
                     if depth == len(masks):
                         return True
-                    for v in _bits(masks[depth]):
+                    for v in bits_above(masks[depth], -1):
                         narrowed = [
                             m & self._adj[2 + depth][2 + depth + 1 + i][v]
                             for i, m in enumerate(masks[depth + 1 :])
@@ -128,7 +121,7 @@ class ComplementGraph:
         edges = []
         for a, b in combinations(range(self.groups), 2):
             for x in range(self.n):
-                for y in _bits(self._adj[a][b][x]):
+                for y in bits_above(self._adj[a][b][x], -1):
                     edges.append((self.vertex_label(a, x), self.vertex_label(b, y)))
         return edges
 

@@ -127,13 +127,3 @@ def maximalize(
         assert result.filled_count >= ceil(square.n * square.n / 3)
     return result
 
-
-def maximalize_many(
-    square: KPartialSquare, runs: int, seed: int
-) -> list[KPartialSquare]:
-    """Independent randomized completions with per-run derived seeds."""
-    base = random.Random(seed)
-    return [
-        maximalize(square, policy="random", seed=base.randrange(2**63))
-        for _ in range(runs)
-    ]

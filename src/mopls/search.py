@@ -46,15 +46,14 @@ first reuses it and the cache never holds more than one tree.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import ceil, inf
 from pathlib import Path
 from typing import Sequence
 
-from .core import KPartialSquare, SquareError, Word
-from .formats import ParseError
+from .core import KPartialSquare, SquareError, Word, bits_above
+from .formats import ParseError, read_json, write_atomic
 
 CHECKPOINT_VERSION = 1
 
@@ -80,19 +79,6 @@ def _compat_masks(words: list[Word]) -> list[int]:
             clash |= having[a][w[a]] & having[b][w[b]]
         masks.append(full & ~clash)
     return masks
-
-
-def _bits_above(mask: int, floor: int):
-    mask >>= floor + 1
-    base = floor + 1
-    while mask:
-        low = mask & -mask
-        yield base + low.bit_length() - 1
-        mask ^= low
-        # iterating via shifts keeps the big ints small
-        skip = low.bit_length()
-        mask >>= skip
-        base += skip
 
 
 # -- canonical forms under row/col/per-layer symbol permutations ------------------
@@ -311,7 +297,7 @@ def _levels(table: list[Word], compat: list[int], level: int = 0,
         next_queue = []
         for words_idx, mask in queue:
             floor = words_idx[-1] if words_idx else -1
-            for w in _bits_above(mask, floor):
+            for w in bits_above(mask, floor):
                 child = words_idx + (w,)
                 if is_canonical([table[i] for i in child]):
                     if budget is not None and spent >= budget:
@@ -332,13 +318,7 @@ def _save_checkpoint(path: Path, n: int, k: int, level: int,
         "nodes": nodes,
         "queue": [list(words) for words, _ in queue],
     }
-    # an interrupted save leaves the previous checkpoint whole
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(json.dumps(doc) + "\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomic(path, json.dumps(doc) + "\n")
 
 
 def _is_index(value: object, limit: float = inf) -> bool:
@@ -346,10 +326,7 @@ def _is_index(value: object, limit: float = inf) -> bool:
 
 
 def _load_checkpoint(path: Path, n: int, k: int, compat: list[int]):
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"checkpoint {path} is not readable JSON: {exc}") from exc
+    doc = read_json(path, "checkpoint")
     if not isinstance(doc, dict):
         raise ParseError(f"checkpoint {path} is not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:

@@ -229,6 +229,16 @@ def square_with_empty_cell(draw, **kwargs):
     return square, empties[draw(st.integers(0, len(empties) - 1))]
 
 
+# -- fault injection -----------------------------------------------------------
+
+
+def write_half_then_fail(self, data, *args, **kwargs):
+    """Stands in for ``Path.write_text``: writes half the text, then fails."""
+    with open(self, "w") as fh:
+        fh.write(data[: len(data) // 2])
+    raise OSError("simulated disk full")
+
+
 # -- fixtures ------------------------------------------------------------------
 
 

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from conftest import DATA, write_half_then_fail
 from mopls.cli import build_parser, main
 from mopls.construct import min_mopls, min_mpls, k_ols
 from mopls.formats import from_text_grid, load_square, save_square, to_json
@@ -111,13 +114,18 @@ def test_verify_maximal_batch_reports_every_file(square_file, tmp_path, capsys):
     broken.write_text("not a grid\n")
     partial = tmp_path / "partial.json"
     partial.write_text(to_json(min_mopls(9).remove((0, 0))))
-    assert main(["verify", "maximal", str(broken), str(square_file), str(partial)]) == 3
+    undecodable = tmp_path / "bin.txt"
+    undecodable.write_bytes(b"\xff\xfe\x00bad")
+    files = [str(broken), str(square_file), str(partial), str(undecodable)]
+    assert main(["verify", "maximal", *files]) == 3
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(": ", 1)[0] for line in lines] == [str(broken), str(square_file), str(partial)]
+    assert [line.split(": ", 1)[0] for line in lines] == files
     assert "malformed" in lines[0]
     assert ": maximal (" in lines[1]
     assert "extendable at" in lines[2]
+    assert "malformed: cannot read" in lines[3]
     assert main(["verify", "maximal", str(partial), str(square_file)]) == 1
+    assert main(["verify", "bound", str(undecodable)]) == 3
 
 
 def test_verify_bound_passes_on_minimum_square(square_file, capsys):
@@ -301,6 +309,52 @@ def test_export_graph_edge_list(square_file, tmp_path, capsys):
     assert doc["format"] == "complement-graph"
     # six ordered group pairs, each contributing one edge per empty cell
     assert len(doc["edges"]) == 6 * (81 - 27)
+
+
+# -- written files ------------------------------------------------------------------
+
+GOLDEN = DATA / "golden"
+
+#: every kind of file the CLI writes: command line -> output file; the
+#: commands that read a square read ``in.json``, a copy of the golden
+#: ``min-mopls-9.json``
+GOLDEN_RUNS = {
+    "construct-json": (["construct", "min-mopls", "--n", "9", "--out", "min-mopls-9.json"], "min-mopls-9.json"),
+    "construct-text": (["construct", "min-mopls", "--n", "9", "--out", "min-mopls-9.txt"], "min-mopls-9.txt"),
+    "construct-format-json": (
+        ["construct", "min-mopls", "--n", "9", "--format", "json", "--out", "min-mopls-9.dat"], "min-mopls-9.dat"),
+    "search-min": (["search", "min", "--n", "2", "--out", "search-min-2.json"], "search-min-2.json"),
+    "code-export": (["code", "export", "in.json", "--out", "code-9.json"], "code-9.json"),
+    "graph-dot": (["export", "graph", "in.json", "--format", "dot", "--out", "graph-9.dot"], "graph-9.dot"),
+    "graph-edges": (["export", "graph", "in.json", "--format", "edges", "--out", "graph-9.json"], "graph-9.json"),
+}
+
+
+def without_times(manifest: str) -> str:
+    """A manifest with its wall time and finishing timestamp blanked."""
+    manifest = re.sub(r'"wall_time_seconds": [0-9.]+', '"wall_time_seconds": 0', manifest)
+    return re.sub(r'"finished_at": "[^"]*"', '"finished_at": ""', manifest)
+
+
+@pytest.mark.parametrize("argv, out", list(GOLDEN_RUNS.values()), ids=list(GOLDEN_RUNS))
+def test_written_files_match_the_golden_files(argv, out, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_bytes((GOLDEN / "min-mopls-9.json").read_bytes())
+    assert main(argv) == 0
+    assert (tmp_path / out).read_bytes() == (GOLDEN / out).read_bytes()
+    manifest = out + ".manifest.json"
+    assert without_times((tmp_path / manifest).read_text()) == (GOLDEN / manifest).read_text()
+
+
+def test_failed_output_write_keeps_the_previous_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "square.json"
+    assert main(["construct", "min-mopls", "--n", "9", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="simulated"):
+        main(["construct", "min-mpls", "--n", "6", "--out", str(out)])
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # -- parser-level behavior ------------------------------------------------------------

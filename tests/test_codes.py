@@ -18,7 +18,6 @@ from mopls.codes import (
     code_to_json,
     covering_radius,
     min_distance,
-    radius_within,
     to_code,
 )
 from mopls.construct import k_ols, min_mpls, min_mopls
@@ -101,12 +100,6 @@ def test_covering_radius_word_space_guard():
     assert 100**4 > WORD_SPACE_LIMIT
     with pytest.raises(ValueError):
         covering_radius(huge)
-
-
-def test_radius_within():
-    full = tuple(sorted(product(range(2), repeat=2)))
-    assert radius_within(Code(2, 2, full), 0) is True
-    assert radius_within(Code(2, 3, ((0, 0, 0),)), 2) is False
 
 
 # -- the nine-word configuration ------------------------------------------------------

@@ -259,7 +259,8 @@ def test_validate_names_offending_cells():
 
 @pytest.mark.parametrize(
     "cells",
-    [{(0, 0): (1.0,)}, {(0.0, 1): (2,)}, {(0, 0): (0,), (1, 1): (2.5,)}, {("a", 0): (0,), (0, 0): (1,)}],
+    [{(0, 0): (1.0,)}, {(0.0, 1): (2,)}, {(0, 0): (0,), (1, 1): (2.5,)}, {("a", 0): (0,), (0, 0): (1,)},
+     {(0, 0): 5}, {5: (0,)}],
 )
 def test_non_integer_values_are_range_violations(cells):
     report = KPartialSquare(3, 1, cells).validate()

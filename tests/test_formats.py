@@ -9,13 +9,10 @@ from mopls import (
     from_json,
     from_text_grid,
     load_square,
-    parse,
     save_square,
-    serialize,
     to_json,
     to_text_grid,
 )
-from mopls.formats import loads
 
 from conftest import partial_squares
 
@@ -144,10 +141,11 @@ def test_json_rejects_non_json():
         from_json("{not json")
 
 
-def test_loads_sniffs_format():
+def test_load_square_sniffs_format(tmp_path):
     sq = KPartialSquare.from_cells(2, 1, {(0, 0): (0,)})
-    assert loads(to_json(sq)) == sq
-    assert loads(to_text_grid(sq)) == sq
+    for name, text in (("doc.dat", "\n  " + to_json(sq)), ("grid.dat", to_text_grid(sq))):
+        (tmp_path / name).write_text(text)
+        assert load_square(tmp_path / name) == sq
 
 
 def test_save_load_by_suffix(tmp_path):
@@ -172,11 +170,14 @@ def test_load_missing_file_reports_parse_error(tmp_path):
         load_square(tmp_path / "absent.json")
 
 
-def test_serialize_parse_round_trip():
+def test_save_square_round_trips_and_rejects_unknown_formats(tmp_path):
     square = KPartialSquare.from_cells(3, 2, {(1, 0): (2, 1), (0, 1): (1, 2)})
-    assert parse(serialize(square)) == square
-    assert parse(serialize(square, "text"), k=2) == square
-    assert parse(serialize(square).encode()) == square
-    assert parse(serialize(KPartialSquare.empty(4, 3))) == KPartialSquare.empty(4, 3)
+    path = tmp_path / "square"
+    for fmt in ("json", "text"):
+        save_square(square, path, fmt=fmt)
+        assert load_square(path, k=2) == square
+    save_square(KPartialSquare.empty(4, 3), path, fmt="json")
+    assert load_square(path) == KPartialSquare.empty(4, 3)
     with pytest.raises(ValueError):
-        serialize(square, "yaml")
+        save_square(square, tmp_path / "other", fmt="yaml")
+    assert [p.name for p in tmp_path.iterdir()] == ["square"]

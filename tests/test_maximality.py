@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mopls import KPartialSquare, SquareError, find_extension, is_maximal, maximalize
-from mopls.maximality import candidate_tuples, maximalize_many
+from mopls.maximality import candidate_tuples
 from mopls.verify import lower_bound
 
 from conftest import (
@@ -87,15 +87,6 @@ def test_maximalize_random_is_seed_reproducible(n, seed):
 def test_maximalize_rejects_unknown_policy():
     with pytest.raises(ValueError):
         maximalize(KPartialSquare.empty(3, 2), policy="mystery")
-
-
-def test_maximalize_many_counts_and_distinctness():
-    empty = KPartialSquare.empty(5, 2)
-    squares = maximalize_many(empty, runs=6, seed=11)
-    assert len(squares) == 6
-    for sq in squares:
-        assert is_maximal(sq)
-    assert len({sq.words() for sq in squares}) > 1, "runs should vary"
 
 
 def test_maximal_squares_stay_maximal_after_relabel(golden):

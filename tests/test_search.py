@@ -13,6 +13,7 @@ from conftest import (
     oracle_canonical_form,
     oracle_is_maximal,
     partial_squares,
+    write_half_then_fail,
 )
 from mopls import search
 from mopls.core import KPartialSquare, SquareError
@@ -228,15 +229,9 @@ def _fail(*args, **kwargs):
     raise OSError("simulated failure")
 
 
-def _write_half_then_fail(self, data, *args, **kwargs):
-    with open(self, "w") as fh:
-        fh.write(data[: len(data) // 2])
-    raise OSError("simulated disk full")
-
-
 @pytest.mark.parametrize(
     "owner, name, failing",
-    [(json, "dumps", _fail), (Path, "write_text", _write_half_then_fail)],
+    [(json, "dumps", _fail), (Path, "write_text", write_half_then_fail)],
     ids=["dumps-raises", "write-stops-half-way"],
 )
 def test_failed_checkpoint_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, owner, name, failing):
