@@ -23,6 +23,7 @@ from .core import (
     KPartialSquare,
     LatinConflictError,
     OrthogonalityConflictError,
+    SelfCheckError,
     SquareError,
     ValidationReport,
     Violation,
@@ -71,6 +72,7 @@ __all__ = [
     "OrthogonalityConflictError",
     "ParseError",
     "SearchResult",
+    "SelfCheckError",
     "SquareError",
     "StructureReport",
     "TransversalReport",

@@ -12,8 +12,10 @@ wall time.  Outputs and manifests alike are written with
 :func:`mopls.formats.write_atomic`, so a failed write leaves the previous
 file whole.
 
-Exit codes: 0 success; 1 a verification failed; 2 usage error;
-3 malformed input file; 4 parameters are infeasible (for example a
+Exit codes: 0 success; 1 a verification failed (or a built square failed
+its own check); 2 usage error, or an output file that cannot be written;
+3 malformed input file or search checkpoint, including a missing
+checkpoint for ``--resume``; 4 parameters are infeasible (for example a
 minimum construction at an order whose blocks do not exist).
 """
 
@@ -378,8 +380,14 @@ def main(argv: "list[str] | None" = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _parser().parse_args(argv)
     ctx = RunContext(argv=["mopls"] + argv)
+    parameters = {
+        key: value
+        for key, value in vars(args).items()
+        if key != "func" and not key.startswith("_")
+    }
     try:
         status = args.func(ctx, args)
+        ctx.write_manifests(parameters)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -389,15 +397,9 @@ def main(argv: "list[str] | None" = None) -> int:
     except SquareError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parameters = {
-        key: value
-        for key, value in vars(args).items()
-        if key != "func" and not key.startswith("_")
-    }
-    ctx.write_manifests(parameters)
     return status
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 from importlib import resources
 from math import ceil
 
-from .core import Cell, EntryTuple, KPartialSquare
+from .core import Cell, EntryTuple, KPartialSquare, SelfCheckError
 from .formats import ParseError, from_json
 from .maximality import is_maximal
 
@@ -312,6 +312,18 @@ def k_mopls_diagonal(n: int, k: int, block_orders: tuple[int, ...] | list[int]) 
     return KPartialSquare.from_cells(n, k, cells)
 
 
+def _check_minimum(square: KPartialSquare, plan: ConstructionPlan, least: int) -> None:
+    """Raise SelfCheckError unless ``square`` fills ``least`` cells, as its plan
+    says, and is maximal."""
+    if not square.filled_count == least == plan.filled:
+        raise SelfCheckError(
+            f"order-{square.n} construction filled {square.filled_count} cells; "
+            f"its plan fills {plan.filled} and the minimum is {least}"
+        )
+    if not is_maximal(square):
+        raise SelfCheckError(f"order-{square.n} construction is not maximal")
+
+
 def min_mopls(n: int) -> KPartialSquare:
     """A maximal orthogonal pair of order n filling ceil(n^2 / 3) cells.
 
@@ -328,8 +340,7 @@ def min_mopls(n: int) -> KPartialSquare:
         raise ConstructionError(
             f"minimum construction for n={n} needs blocks {plan.block_orders}: {exc}"
         ) from exc
-    assert square.filled_count == ceil(n * n / 3) == plan.filled
-    assert is_maximal(square)
+    _check_minimum(square, plan, ceil(n * n / 3))
     return square
 
 
@@ -341,6 +352,5 @@ def min_mpls(n: int) -> KPartialSquare:
     """
     plan = mpls_plan(n)
     square = k_mopls_diagonal(n, 1, plan.block_orders)
-    assert square.filled_count == ceil(n * n / 2) == plan.filled
-    assert is_maximal(square)
+    _check_minimum(square, plan, ceil(n * n / 2))
     return square

@@ -39,6 +39,11 @@ class SquareError(ValueError):
     """An invalid square, or an edit that would make one."""
 
 
+class SelfCheckError(SquareError):
+    """A built square failed its own certificate check (fill count or
+    maximality): a bug in the program, not bad input."""
+
+
 class CellOccupiedError(SquareError):
     """Insertion into a cell that is already filled."""
 

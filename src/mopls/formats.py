@@ -9,7 +9,8 @@ Two square formats:
   parsing accepts an optional explicit ``k``.
 * **structured JSON**: a versioned, self-describing document with
   explicit ``n`` and ``k`` and 0-based cells.  Lossless for every square
-  including the empty one; preferred for machine interchange.
+  including the empty one; preferred for machine interchange.  Orders
+  above :data:`MAX_ORDER` are rejected before anything is built.
 
 :func:`load_square` is the one square reader: it tells JSON from a grid
 by a leading brace.  Both parsers re-validate the square on load, and
@@ -32,6 +33,11 @@ from .core import Cell, EntryTuple, KPartialSquare, SquareError
 
 DIGITS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 MAX_TEXT_ORDER = 35  # one base-36 digit per 1-based symbol
+#: Largest order either parser accepts.  Checking a square costs time and
+#: memory that grow with n (the candidate scan visits all n^2 cells), so a
+#: tiny file must not be able to declare n = 10^8; 2000 is well above the
+#: orders the constructions are checked at (n = 300 takes seconds).
+MAX_ORDER = 2000
 
 JSON_FORMAT = "kpls"
 JSON_VERSION = 1
@@ -145,6 +151,8 @@ def from_json(text: str) -> KPartialSquare:
         raw_cells = doc["cells"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from exc
+    if n > MAX_ORDER:
+        raise ParseError(f"order n={n} exceeds the supported maximum {MAX_ORDER}")
     if not isinstance(raw_cells, list):
         raise ParseError("'cells' must be a list")
     cells: dict[Cell, EntryTuple] = {}
@@ -167,11 +175,13 @@ def write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` so that a failed or interrupted write leaves
     the previous file whole: through ``<path>.tmp`` and ``os.replace``, with
     the temporary file removed on any failure (no fsync, so a power loss is
-    not covered)."""
+    not covered).  A failed write raises an :class:`OSError` naming ``path``."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -16,6 +16,20 @@ The layer-pair projections also contain pairs coming from cells in the
 same row or column, but those can never reject a tuple that passed the
 Latin filters: matching such a pair would need e_i equal to a symbol
 already used in this row or column at layer i.
+
+:func:`find_extension` runs that test on every empty cell at once with
+numpy.  The complements of the rows it reads are packed into uint64
+words, ``ceil(n / 64)`` per mask; each empty cell gets its k
+allowed-symbol masks; then a frontier of (cell, layer masks) rows is
+expanded one layer at a time: every set bit of the current layer's mask
+becomes a row whose later masks lose the symbols that the layer-pair
+projections pair with that value, and rows with an empty mask are
+dropped.  A cell is extendable when a row of it survives the last layer.
+Cells go through in blocks small enough that a block's frontier stays
+within ``_FRONTIER_WORDS`` mask words, and the scan stops at the first
+block with an extendable cell.  It is still a per-cell candidate test,
+independent of the clique search in :mod:`mopls.graphview` and the
+covering radius in :mod:`mopls.codes`.
 """
 
 from __future__ import annotations
@@ -24,7 +38,14 @@ import random
 from dataclasses import dataclass
 from math import ceil
 
-from .core import Cell, EntryTuple, KPartialSquare, Projections, SquareError
+import numpy as np
+
+from .core import Cell, EntryTuple, KPartialSquare, Projections, SelfCheckError, SquareError
+
+#: Most 64-bit mask words one block of cells may expand to: a block holds
+#: ``_FRONTIER_WORDS // (ceil(n / 64) * n ** (k - 1))`` cells (at least
+#: one), so each frontier array stays within 2 MB.
+_FRONTIER_WORDS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -74,17 +95,54 @@ def candidate_tuples(square: KPartialSquare, cell: Cell) -> list[EntryTuple]:
     return _candidates(square.projections(), square.n, square.k, cell)
 
 
+def _packed(rows: list[list[int]], words: int) -> np.ndarray:
+    """Equal-length lists of bitmasks as little-endian uint64 words, indexed
+    [x, list, word]: ``out[x, i]`` holds ``rows[i][x]``."""
+    data = b"".join(mask.to_bytes(8 * words, "little") for row in rows for mask in row)
+    return np.frombuffer(data, dtype="<u8").reshape(len(rows), -1, words).transpose(1, 0, 2).copy()
+
+
 def find_extension(square: KPartialSquare) -> ExtensionWitness | None:
     """First legal insertion in row-major cell order, lex-least tuple.
 
     Returns None exactly when the square is maximal.  Deterministic, so
     repeated calls name the same witness.
     """
+    n, k = square.n, square.k
     index = square.projections()
-    for cell in square.empty_cells():
-        cands = _candidates(index, square.n, square.k, cell)
-        if cands:
-            return ExtensionWitness(cell, cands[0])
+    table = index.table
+    words = -(-n // 64)
+    full = (1 << n) - 1
+
+    def free(a: int, b: int) -> list[int]:
+        """Per value x of coordinate a, the values of b that no word pairs with x."""
+        return [full ^ used for used in table[a][b]]
+
+    # row_free[r, j]: the layer-j symbols unused in row r, col_free likewise;
+    # pair_free[i][e, j - i - 1]: the layer-j symbols never paired with e at layer i
+    row_free = _packed([free(0, 2 + j) for j in range(k)], words)
+    col_free = _packed([free(1, 2 + j) for j in range(k)], words)
+    pair_free = [_packed([free(2 + i, 2 + j) for j in range(i + 1, k)], words) for i in range(k - 1)]
+    filled = np.zeros((n, n), dtype=bool)
+    if square.cells:
+        filled[tuple(zip(*square.cells))] = True
+    empty_rows, empty_cols = np.nonzero(~filled)
+    block = max(1, _FRONTIER_WORDS // (words * n ** (k - 1)))
+    for start in range(0, len(empty_rows), block):
+        rows, cols = empty_rows[start:start + block], empty_cols[start:start + block]
+        masks = row_free[rows] & col_free[cols]
+        owner = np.arange(len(rows))
+        for i in range(k):
+            alive = masks.any(axis=2).all(axis=1)
+            owner, masks = owner[alive], masks[alive]
+            if i == k - 1 or not len(owner):
+                break
+            bits = np.unpackbits(masks[:, 0].view(np.uint8), axis=1, bitorder="little")
+            row, value = np.nonzero(bits)
+            owner, masks = owner[row], masks[row, 1:] & pair_free[i][value]
+        if len(owner):
+            cell = (int(rows[owner[0]]), int(cols[owner[0]]))
+            return ExtensionWitness(cell, _candidates(index, n, k, cell)[0])
     return None
 
 
@@ -123,7 +181,10 @@ def maximalize(
     result = KPartialSquare(square.n, square.k, cells)
     # any maximal pair of orthogonal partial Latin squares fills at least
     # a third of the grid; a failure here means a bug, not bad input
-    if square.k == 2:
-        assert result.filled_count >= ceil(square.n * square.n / 3)
+    if square.k == 2 and result.filled_count < ceil(square.n * square.n / 3):
+        raise SelfCheckError(
+            f"completion filled {result.filled_count} cells, below the bound "
+            f"{ceil(square.n * square.n / 3)} for a maximal pair of order {square.n}"
+        )
     return result
 

@@ -330,7 +330,7 @@ def _load_checkpoint(path: Path, n: int, k: int, compat: list[int]):
     if not isinstance(doc, dict):
         raise ParseError(f"checkpoint {path} is not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise SquareError(f"unsupported checkpoint version {doc.get('version')!r}")
+        raise ParseError(f"unsupported checkpoint version {doc.get('version')!r}")
     raw_queue = doc.get("queue")
     fields_ok = all(_is_index(doc.get(field)) for field in ("n", "k", "level", "nodes"))
     queue_ok = isinstance(raw_queue, list) and all(
@@ -342,7 +342,7 @@ def _load_checkpoint(path: Path, n: int, k: int, compat: list[int]):
             f"and a queue of word-index lists in 0..{len(compat) - 1}"
         )
     if doc["n"] != n or doc["k"] != k:
-        raise SquareError(
+        raise ParseError(
             f"checkpoint is for n={doc['n']}, k={doc['k']}, not n={n}, k={k}"
         )
     queue = []
@@ -382,7 +382,7 @@ def min_maximal(
     cp_path = Path(checkpoint) if checkpoint else None
     if resume:
         if cp_path is None or not cp_path.exists():
-            raise SquareError("resume requested but no checkpoint file found")
+            raise ParseError("resume requested but no checkpoint file found")
         start, queue, nodes = _load_checkpoint(cp_path, n, k, compat)
 
     exhausted_budget = False

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from mopls import KPartialSquare, Violation
 from mopls.core import _classify
-from mopls.maximality import candidate_tuples
+from mopls.maximality import _candidates, candidate_tuples, maximalize
 
 DATA = Path(__file__).parent / "data"
 
@@ -88,6 +88,17 @@ def oracle_candidates(square: KPartialSquare, cell) -> list[tuple]:
         if all(oracle_agreements(w, other) <= 1 for other in words):
             found.append(entries)
     return found
+
+
+def oracle_find_extension(square: KPartialSquare):
+    """(cell, entries) of the first extendable cell in row-major order with its
+    lex-least tuple, or None: the per-cell loop the vectorized scan replaced."""
+    index = square.projections()
+    for cell in square.empty_cells():
+        cands = _candidates(index, square.n, square.k, cell)
+        if cands:
+            return cell, cands[0]
+    return None
 
 
 def oracle_is_maximal(square: KPartialSquare) -> bool:
@@ -199,6 +210,20 @@ def partial_squares(draw, min_n=1, max_n=6, ks=(1, 2, 3), allow_empty=True):
         options = candidate_tuples(square, cell)
         if options:
             square = square.insert(cell, rng.choice(options))
+    return square
+
+
+@st.composite
+def maximal_squares_with_holes(draw, max_n=9, ks=(1, 2, 3, 4)):
+    """A seeded random maximal square with 0-3 cells removed, or an empty square."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.sampled_from(ks))
+    if draw(st.booleans()) and draw(st.booleans()):
+        return KPartialSquare.empty(n, k)
+    square = maximalize(KPartialSquare.empty(n, k), policy="random", seed=draw(st.integers(0, 2**32 - 1)))
+    filled = sorted(square.cells)
+    for cell in draw(st.lists(st.sampled_from(filled), max_size=3, unique=True)):
+        square = square.remove(cell)
     return square
 
 

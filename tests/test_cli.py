@@ -5,14 +5,16 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import DATA, write_half_then_fail
+from mopls import construct
 from mopls.cli import build_parser, main
 from mopls.construct import min_mopls, min_mpls, k_ols
-from mopls.formats import from_text_grid, load_square, save_square, to_json
+from mopls.formats import MAX_ORDER, from_text_grid, load_square, save_square, to_json
 from mopls.maximality import is_maximal
 
 
@@ -98,6 +100,15 @@ def test_verify_maximal_reports_malformed_input(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["verify", "maximal", str(path)]) == 3
     assert "malformed" in capsys.readouterr().out
+
+
+def test_verify_maximal_rejects_an_oversized_order_at_once(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"format": "kpls", "version": 1, "n": 100000000, "k": 2, "cells": []}')
+    started = time.perf_counter()
+    assert main(["verify", "maximal", str(path)]) == 3
+    assert time.perf_counter() - started < 0.5
+    assert f"exceeds the supported maximum {MAX_ORDER}" in capsys.readouterr().out
 
 
 def test_verify_maximal_batch_with_threads(square_file, tmp_path, capsys):
@@ -259,7 +270,18 @@ def test_search_min_resume_without_checkpoint_fails(tmp_path, capsys):
     code = main([
         "search", "min", "--n", "3", "--checkpoint", str(tmp_path / "nope.json"), "--resume",
     ])
-    assert code == 1
+    assert code == 3
+
+
+@pytest.mark.parametrize("field, value", [("version", 99), ("n", 2)], ids=["version", "order"])
+def test_search_min_foreign_checkpoint_is_malformed_input(tmp_path, capsys, field, value):
+    cp = tmp_path / "cp.json"
+    assert main(["search", "min", "--n", "3", "--budget", "4", "--checkpoint", str(cp)]) == 0
+    doc = json.loads(cp.read_text())
+    doc[field] = value
+    cp.write_text(json.dumps(doc))
+    assert main(["search", "min", "--n", "3", "--checkpoint", str(cp), "--resume"]) == 3
+    assert "error: " in capsys.readouterr().err
 
 
 # -- code and export ----------------------------------------------------------------
@@ -351,10 +373,23 @@ def test_failed_output_write_keeps_the_previous_file(tmp_path, monkeypatch, caps
     assert main(["construct", "min-mopls", "--n", "9", "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-    with pytest.raises(OSError, match="simulated"):
-        main(["construct", "min-mpls", "--n", "6", "--out", str(out)])
+    assert main(["construct", "min-mpls", "--n", "6", "--out", str(out)]) == 2
     monkeypatch.undo()
+    assert capsys.readouterr().err == f"error: cannot write {out}: simulated disk full\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_output_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "nodir" / "x.json"
+    assert main(["construct", "min-mopls", "--n", "9", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+    assert not (tmp_path / "nodir").exists()
+
+
+def test_construction_that_fails_its_own_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(construct, "is_maximal", lambda square: False)
+    assert main(["construct", "min-mopls", "--n", "9"]) == 1
+    assert capsys.readouterr().err == "error: order-9 construction is not maximal\n"
 
 
 # -- parser-level behavior ------------------------------------------------------------

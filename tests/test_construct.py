@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from mopls import (
     ConstructionError,
+    SelfCheckError,
     is_maximal,
     k_mols_field,
     k_mopls_diagonal,
@@ -14,6 +15,7 @@ from mopls import (
     mpls_plan,
     product,
 )
+from mopls import construct
 from mopls.construct import as_prime_power, gf_tables, prime_power_factors
 from mopls.verify import lower_bound
 
@@ -200,3 +202,20 @@ def test_min_mopls_error_names_blocking_order():
     with pytest.raises(ConstructionError) as exc:
         min_mopls(6)
     assert "2" in str(exc.value)
+
+
+@pytest.mark.parametrize("build, n", [(min_mopls, 9), (min_mpls, 6)], ids=["mopls", "mpls"])
+def test_construction_checks_maximality_explicitly(monkeypatch, build, n):
+    monkeypatch.setattr(construct, "is_maximal", lambda square: False)
+    with pytest.raises(SelfCheckError, match="not maximal"):
+        build(n)
+
+
+@pytest.mark.parametrize("build, n", [(min_mopls, 9), (min_mpls, 6)], ids=["mopls", "mpls"])
+def test_construction_checks_its_fill_explicitly(monkeypatch, build, n):
+    blocks = construct.k_mopls_diagonal
+    monkeypatch.setattr(
+        construct, "k_mopls_diagonal", lambda *args: blocks(*args).remove((0, 0))
+    )
+    with pytest.raises(SelfCheckError, match="filled"):
+        build(n)

@@ -13,6 +13,7 @@ from mopls import (
     to_json,
     to_text_grid,
 )
+from mopls.formats import MAX_ORDER, MAX_TEXT_ORDER
 
 from conftest import partial_squares
 
@@ -87,6 +88,16 @@ def test_text_rejects_oversized_order():
     sq = KPartialSquare.empty(36, 2)
     with pytest.raises(ParseError):
         to_text_grid(sq)
+
+
+def test_parsers_reject_orders_above_the_maximum():
+    doc = {"format": "kpls", "version": 1, "k": 2, "cells": []}
+    assert from_json(json.dumps({**doc, "n": MAX_ORDER})).n == MAX_ORDER
+    with pytest.raises(ParseError, match="exceeds the supported maximum"):
+        from_json(json.dumps({**doc, "n": MAX_ORDER + 1}))
+    assert MAX_TEXT_ORDER < MAX_ORDER
+    with pytest.raises(ParseError, match="supports n <= 35"):
+        from_text_grid("\n".join(["- " * 36] * 36), k=2)
 
 
 def test_json_schema_fields():

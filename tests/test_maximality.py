@@ -1,18 +1,29 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mopls import KPartialSquare, SquareError, find_extension, is_maximal, maximalize
+from mopls import KPartialSquare, SelfCheckError, SquareError, find_extension, is_maximal, maximalize
+from mopls import maximality
+from mopls.construct import k_mopls_diagonal, min_mopls
 from mopls.maximality import candidate_tuples
 from mopls.verify import lower_bound
 
 from conftest import (
+    maximal_squares_with_holes,
     oracle_candidates,
+    oracle_find_extension,
     oracle_is_maximal,
     oracle_valid,
     partial_squares,
     square_with_empty_cell,
 )
+
+
+def _witness(square):
+    found = find_extension(square)
+    return None if found is None else (found.cell, found.entries)
 
 
 @given(square_with_empty_cell(max_n=5))
@@ -32,6 +43,43 @@ def test_candidate_tuples_rejects_filled_cell():
 @given(partial_squares(max_n=5))
 def test_is_maximal_matches_brute_force(square):
     assert is_maximal(square) == oracle_is_maximal(square)
+
+
+@given(st.one_of(maximal_squares_with_holes(), partial_squares(max_n=6, ks=(1, 2, 3, 4))))
+def test_find_extension_matches_the_per_cell_reference(square):
+    assert _witness(square) == oracle_find_extension(square)
+
+
+@pytest.mark.parametrize("words", [1, 7, 40])
+@given(square=maximal_squares_with_holes(max_n=7))
+def test_find_extension_does_not_depend_on_the_block_size(words, square):
+    # with a budget this small a block holds one to a few cells, so every
+    # block boundary falls inside the square
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maximality, "_FRONTIER_WORDS", words)
+        assert _witness(square) == oracle_find_extension(square)
+
+
+@pytest.mark.parametrize("blocks", [(20, 21, 23), (21, 21, 23), (23, 23, 24)], ids=["64", "65", "70"])
+def test_find_extension_matches_the_reference_across_mask_words(blocks):
+    # order 64 fills one 64-bit mask word exactly; 65 and 70 spill into a second
+    square = k_mopls_diagonal(sum(blocks), 2, blocks)
+    n = square.n
+    cases = [square, KPartialSquare.empty(n, 2)]
+    cases += [square.remove(cell) for cell in ((0, 0), (n // 2, n // 2), (n - 1, n - 1))]
+    for case in cases:
+        assert _witness(case) == oracle_find_extension(case)
+    assert _witness(square) is None
+
+
+def test_find_extension_matches_the_reference_on_every_conjugate():
+    square = min_mopls(9)
+    for order in permutations(range(4)):
+        conjugate = square.conjugate(order)
+        assert _witness(conjugate) is None
+        for cell in (min(conjugate.cells), max(conjugate.cells)):
+            holed = conjugate.remove(cell)
+            assert _witness(holed) == oracle_find_extension(holed)
 
 
 def test_find_extension_returns_first_row_major_lex_least():
@@ -82,6 +130,12 @@ def test_maximalize_random_is_seed_reproducible(n, seed):
     b = maximalize(empty, policy="random", seed=seed)
     assert a == b
     assert is_maximal(a)
+
+
+def test_maximalize_checks_its_fill_explicitly(monkeypatch):
+    monkeypatch.setattr(maximality, "_candidates", lambda *args: [])
+    with pytest.raises(SelfCheckError, match="below the bound"):
+        maximalize(KPartialSquare.empty(3, 2))
 
 
 def test_maximalize_rejects_unknown_policy():

@@ -16,7 +16,8 @@ from conftest import (
     write_half_then_fail,
 )
 from mopls import search
-from mopls.core import KPartialSquare, SquareError
+from mopls.core import KPartialSquare
+from mopls.formats import ParseError
 from mopls.maximality import is_maximal
 from mopls.search import (
     canonical_form,
@@ -248,16 +249,16 @@ def test_failed_checkpoint_save_keeps_the_previous_checkpoint(tmp_path, monkeypa
 
 
 def test_resume_requires_an_existing_checkpoint(tmp_path):
-    with pytest.raises(SquareError):
+    with pytest.raises(ParseError):
         min_maximal(3, checkpoint=tmp_path / "missing.json", resume=True)
-    with pytest.raises(SquareError):
+    with pytest.raises(ParseError):
         min_maximal(3, resume=True)
 
 
 def test_resume_rejects_mismatched_checkpoint(tmp_path):
     cp = tmp_path / "level.json"
     min_maximal(3, budget=4, checkpoint=cp)
-    with pytest.raises(SquareError):
+    with pytest.raises(ParseError):
         min_maximal(2, checkpoint=cp, resume=True)
 
 
@@ -267,7 +268,7 @@ def test_resume_rejects_unknown_checkpoint_version(tmp_path):
     doc = json.loads(cp.read_text())
     doc["version"] = 99
     cp.write_text(json.dumps(doc))
-    with pytest.raises(SquareError):
+    with pytest.raises(ParseError):
         min_maximal(3, checkpoint=cp, resume=True)
 
 
