@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
 """Alternating parent/change benchmark pairs, summarized as a BENCH_<n>.json trajectory file.
 
-    python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --shas <parent sha> <change sha> --runs runs/ --out BENCH_6.json
+    python3 scripts/bench_pairs.py --parent ../parent --change . --out BENCH_6.json
 
-``--parent`` and ``--change`` are two checkouts, each with its own
-``perfbench/``.  For every seed 1..``--pairs`` and every workload this
-runs ``perfbench/run.py --trace 0`` once in each checkout, the parent
-first on odd seeds and the change first on even ones, and keeps each
-run's standard output as ``<runs>/<workload>-<seed>-<side>.txt``.  A run
-whose file already exists is not repeated, so an interrupted session
-resumes where it stopped.  The summary gives, per workload, side and
-end-to-end metric, the median and quartiles over the runs and every
-run's value; per metric, the pairs the change wins (lower is better,
-ties count for neither); the failed and attempted rounds; and the host.
+``--parent`` and ``--change`` are two clean git checkouts, each with its
+own ``perfbench/``; each side's SHA is read from its checkout.  For every
+seed 1..10 and every workload this runs ``perfbench/run.py --trace 0``
+(at its own fixed run length) once in each checkout, the parent first on
+odd seeds and the change first on even ones.  The summary gives, per
+workload, side and end-to-end metric, the median and quartiles over the
+runs and every run's value; per metric, the pairs the change wins (lower
+is better, ties count for neither); the failed and attempted rounds; and
+the host.
 """
 
 from __future__ import annotations
@@ -29,26 +27,36 @@ from pathlib import Path
 WORKLOADS = ("certify", "complete", "search")
 METRICS = ("round_s_p50", "round_s_tail", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
-def run_pairs(checkouts: dict[str, Path], runs: Path, pairs: int, seconds: float) -> None:
-    runs.mkdir(parents=True, exist_ok=True)
-    for seed in range(1, pairs + 1):
+def checkout_sha(checkout: Path) -> str:
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    if git("status", "--porcelain", "--untracked-files=no"):
+        sys.exit(f"error: {checkout} has uncommitted changes, its SHA would not name what ran")
+    return git("rev-parse", "HEAD")
+
+
+def run_pairs(checkouts: dict[str, Path]) -> dict[str, dict[str, list[tuple[dict, dict]]]]:
+    """Per workload and side, the (report, result) lines of seeds 1..PAIRS in order."""
+    out = {workload: {side: [] for side in SIDES} for workload in WORKLOADS}
+    for seed in range(1, PAIRS + 1):
         for workload in WORKLOADS:
             for side in SIDES if seed % 2 else SIDES[::-1]:
-                out = runs / f"{workload}-{seed}-{side}.txt"
-                if out.exists():
-                    continue
                 result = subprocess.run(
                     [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                     "--seconds", str(seconds), "--trace", "0"],
+                     "--trace", "0"],
                     cwd=checkouts[side], capture_output=True, text=True, check=True,
                 )
-                out.write_text(result.stdout)
+                out[workload][side].append(tuple(json.loads(line) for line in result.stdout.splitlines()[-2:]))
+    return out
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 
@@ -62,30 +70,19 @@ def cpu_model() -> str:
     return "unknown"
 
 
-def summarize(runs: Path, shas: list[str], pairs: int, seconds: float) -> dict:
-    machine = None
+def summarize(runs: dict[str, dict[str, list[tuple[dict, dict]]]], shas: dict[str, str]) -> dict:
     workloads = {}
-    for workload in WORKLOADS:
-        results = {side: {} for side in SIDES}
+    for workload, sides in runs.items():
+        results = {side: [result for _, result in sides[side]] for side in SIDES}
+        entry = {"pairs": PAIRS, "seeds": list(range(1, PAIRS + 1))}
         for side in SIDES:
-            for seed in range(1, pairs + 1):
-                path = runs / f"{workload}-{seed}-{side}.txt"
-                if path.exists():
-                    report, result = (json.loads(line) for line in path.read_text().splitlines()[-2:])
-                    machine = machine or report["machine"]
-                    results[side][seed] = result
-        seeds = sorted(set(results["parent"]) & set(results["change"]))
-        if not seeds:
-            continue
-        entry = {"pairs": len(seeds), "seeds": seeds}
-        for side in SIDES:
-            entry[f"{side}_attempted"] = sum(results[side][s]["attempted"] for s in seeds)
-            entry[f"{side}_failed"] = sum(results[side][s]["failed"] for s in seeds)
+            entry[f"{side}_attempted"] = sum(result["attempted"] for result in results[side])
+            entry[f"{side}_failed"] = sum(result["failed"] for result in results[side])
         for metric in METRICS:
-            values = {side: [results[side][s]["metrics"][metric]["value"] for s in seeds] for side in SIDES}
+            values = {side: [result["metrics"][metric]["value"] for result in results[side]] for side in SIDES}
             parent, change = values["parent"], values["change"]
             entry[metric] = {
-                "unit": results["parent"][seeds[0]]["metrics"][metric]["unit"],
+                "unit": results["parent"][0]["metrics"][metric]["unit"],
                 **{side: {**quartiles(values[side]), "runs": values[side]} for side in SIDES},
                 "change_wins": sum(c < p for p, c in zip(parent, change)),
                 "change_loses": sum(c > p for p, c in zip(parent, change)),
@@ -94,27 +91,25 @@ def summarize(runs: Path, shas: list[str], pairs: int, seconds: float) -> dict:
                 ),
             }
         workloads[workload] = entry
+    machine = runs[WORKLOADS[0]]["parent"][0][0]["machine"]
     return {
-        "command": f"perfbench/run.py --trace 0 --seconds {seconds:g}, alternating parent/change pairs",
-        "parent_sha": shas[0],
-        "change_sha": shas[1],
-        "host": {"nproc": os.cpu_count(), "cpu": cpu_model(), **(machine or {})},
+        "command": "perfbench/run.py --trace 0, alternating parent/change pairs",
+        "parent_sha": shas["parent"],
+        "change_sha": shas["change"],
+        "host": {"nproc": os.cpu_count(), "cpu": cpu_model(), **machine},
         "workloads": workloads,
     }
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--shas", nargs=2, required=True, metavar=("PARENT", "CHANGE"))
-    parser.add_argument("--runs", type=Path, required=True, help="directory of per-run outputs")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=22.0)
+    parser.add_argument("--parent", type=Path, required=True, help="git checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="git checkout of the change")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
-    run_pairs({"parent": args.parent, "change": args.change}, args.runs, args.pairs, args.seconds)
-    summary = summarize(args.runs, args.shas, args.pairs, args.seconds)
+    checkouts = {"parent": args.parent, "change": args.change}
+    shas = {side: checkout_sha(path) for side, path in checkouts.items()}
+    summary = summarize(run_pairs(checkouts), shas)
     args.out.write_text(json.dumps(summary, indent=2) + "\n")
 
 

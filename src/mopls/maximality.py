@@ -25,11 +25,15 @@ expanded one layer at a time: every set bit of the current layer's mask
 becomes a row whose later masks lose the symbols that the layer-pair
 projections pair with that value, and rows with an empty mask are
 dropped.  A cell is extendable when a row of it survives the last layer.
-Cells go through in blocks small enough that a block's frontier stays
-within ``_FRONTIER_WORDS`` mask words, and the scan stops at the first
-block with an extendable cell.  It is still a per-cell candidate test,
-independent of the clique search in :mod:`mopls.graphview` and the
-covering radius in :mod:`mopls.codes`.
+The frontier is walked depth first in slices: a band of grid rows at a
+time, then at each layer as many rows as expand to about
+``_FRONTIER_WORDS`` mask words (at least one row), so the arrays alive
+at once stay a few MB per layer whatever n and k are.  Rows stay in
+row-major cell order, so the first surviving row names the first
+extendable cell and the scan stops there.  The witness tuple is the
+lex-least one at that cell, found without listing the others.  It is
+still a per-cell candidate test, independent of the clique search in
+:mod:`mopls.graphview` and the covering radius in :mod:`mopls.codes`.
 """
 
 from __future__ import annotations
@@ -42,9 +46,9 @@ import numpy as np
 
 from .core import Cell, EntryTuple, KPartialSquare, Projections, SelfCheckError, SquareError
 
-#: Most 64-bit mask words one block of cells may expand to: a block holds
-#: ``_FRONTIER_WORDS // (ceil(n / 64) * n ** (k - 1))`` cells (at least
-#: one), so each frontier array stays within 2 MB.
+#: About the most 64-bit mask words one frontier slice may expand to: at
+#: layer i a slice holds ``_FRONTIER_WORDS // (n * ceil(n / 64) * (k - 1 - i))``
+#: rows (at least one), so each array it makes stays near 2 MB.
 _FRONTIER_WORDS = 1 << 18
 
 
@@ -56,8 +60,11 @@ class ExtensionWitness:
     entries: EntryTuple
 
 
-def _candidates(index: Projections, n: int, k: int, cell: Cell) -> list[EntryTuple]:
-    """All entry tuples legal at an empty cell, lexicographically sorted."""
+def _candidates(
+    index: Projections, n: int, k: int, cell: Cell, first: bool = False
+) -> list[EntryTuple]:
+    """All entry tuples legal at an empty cell, lexicographically sorted;
+    with ``first``, only the least of them (or none)."""
     r, c = cell
     table = index.table
     free = (1 << n) - 1
@@ -70,19 +77,22 @@ def _candidates(index: Projections, n: int, k: int, cell: Cell) -> list[EntryTup
     out: list[EntryTuple] = []
     prefix: list[int] = []
 
-    def extend(j: int) -> None:
+    def extend(j: int) -> bool:
+        """Append the tuples extending ``prefix``; True once ``first`` is met."""
         if j == k:
             out.append(tuple(prefix))
-            return
+            return first
         mask = allowed[j]
         for i, e in enumerate(prefix):
             mask &= ~table[2 + i][2 + j][e]
         while mask:
             low = mask & -mask
             prefix.append(low.bit_length() - 1)
-            extend(j + 1)
+            if extend(j + 1):
+                return True
             prefix.pop()
             mask ^= low
+        return False
 
     extend(0)
     return out
@@ -126,23 +136,34 @@ def find_extension(square: KPartialSquare) -> ExtensionWitness | None:
     filled = np.zeros((n, n), dtype=bool)
     if square.cells:
         filled[tuple(zip(*square.cells))] = True
-    empty_rows, empty_cols = np.nonzero(~filled)
-    block = max(1, _FRONTIER_WORDS // (words * n ** (k - 1)))
-    for start in range(0, len(empty_rows), block):
-        rows, cols = empty_rows[start:start + block], empty_cols[start:start + block]
-        masks = row_free[rows] & col_free[cols]
-        owner = np.arange(len(rows))
-        for i in range(k):
-            alive = masks.any(axis=2).all(axis=1)
-            owner, masks = owner[alive], masks[alive]
-            if i == k - 1 or not len(owner):
-                break
-            bits = np.unpackbits(masks[:, 0].view(np.uint8), axis=1, bitorder="little")
+
+    def first_survivor(i: int, owner: np.ndarray, masks: np.ndarray) -> int | None:
+        """Least owner of a row whose masks for layers i.. leave a legal
+        tuple, or None.  Rows come sorted by owner."""
+        alive = masks.any(axis=2).all(axis=1)
+        owner, masks = owner[alive], masks[alive]
+        if i == k - 1 or not len(owner):
+            return int(owner[0]) if len(owner) else None
+        step = max(1, _FRONTIER_WORDS // (n * words * (k - 1 - i)))
+        for start in range(0, len(owner), step):
+            chunk = masks[start:start + step]
+            bits = np.unpackbits(chunk[:, 0].view(np.uint8), axis=1, bitorder="little")
             row, value = np.nonzero(bits)
-            owner, masks = owner[row], masks[row, 1:] & pair_free[i][value]
-        if len(owner):
-            cell = (int(rows[owner[0]]), int(cols[owner[0]]))
-            return ExtensionWitness(cell, _candidates(index, n, k, cell)[0])
+            found = first_survivor(
+                i + 1, owner[start:start + step][row], chunk[row, 1:] & pair_free[i][value]
+            )
+            if found is not None:
+                return found
+        return None
+
+    height = max(1, _FRONTIER_WORDS // (n * k * words))
+    for top in range(0, n, height):
+        rows, cols = np.nonzero(~filled[top:top + height])
+        rows += top
+        found = first_survivor(0, np.arange(len(rows)), row_free[rows] & col_free[cols])
+        if found is not None:
+            cell = (int(rows[found]), int(cols[found]))
+            return ExtensionWitness(cell, _candidates(index, n, k, cell, first=True)[0])
     return None
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -70,6 +71,22 @@ def test_find_extension_matches_the_reference_across_mask_words(blocks):
     for case in cases:
         assert _witness(case) == oracle_find_extension(case)
     assert _witness(square) is None
+
+
+@pytest.mark.parametrize("n, k", [(300, 3), (300, 4), (2000, 2)])
+def test_find_extension_memory_stays_bounded_at_large_orders(n, k):
+    # one cell of an empty square expands to n ** (k - 1) frontier rows and
+    # admits n ** k tuples: the scan must slice the one and stop at the
+    # first of the other
+    square = KPartialSquare.empty(n, k)
+    tracemalloc.start()
+    try:
+        witness = _witness(square)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness == ((0, 0), (0,) * k)
+    assert peak < 64 * 2**20
 
 
 def test_find_extension_matches_the_reference_on_every_conjugate():
