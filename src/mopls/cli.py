@@ -36,7 +36,7 @@ from . import __version__
 from .codes import check_code_equivalence, code_to_json, to_code
 from .construct import ConstructionError, k_mopls_diagonal, k_ols, min_mopls, min_mpls
 from .core import KPartialSquare, SquareError
-from .formats import MAX_TEXT_ORDER, ParseError, json_document, load_square, save_square, to_json, to_text_grid, write_atomic
+from .formats import MAX_LAYERS, MAX_ORDER, MAX_TEXT_ORDER, ParseError, json_document, load_square, save_square, to_json, to_text_grid, write_atomic
 from .graphview import complement
 from .maximality import find_extension, maximalize
 from .search import min_maximal
@@ -310,6 +310,23 @@ def cmd_export(ctx: RunContext, args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+def _at_most(limit: int):
+    """An argparse type: an int no larger than ``limit``, so that ``--n`` and
+    ``--k`` above the file formats' limits are usage errors before anything
+    is built."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"{value} exceeds the supported maximum {limit}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mopls",
@@ -322,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument(
         "what", choices=["min-mopls", "min-mpls", "k-mopls", "k-ols", "maximal"]
     )
-    p_con.add_argument("--n", type=int, required=True, help="order of the square")
-    p_con.add_argument("--k", type=int, default=2, help="number of entry layers")
+    p_con.add_argument("--n", type=_at_most(MAX_ORDER), required=True, help="order of the square")
+    p_con.add_argument("--k", type=_at_most(MAX_LAYERS), default=2, help="number of entry layers")
     p_con.add_argument("--blocks", help="comma-separated block orders (k-mopls)")
     p_con.add_argument("--seed", type=int, help="randomized completion seed (maximal)")
     p_con.add_argument("--out", help="output file (text grid or JSON by suffix)")
@@ -342,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sea = sub.add_parser("search", help="exhaustive ascending-size search")
     p_sea_sub = p_sea.add_subparsers(dest="what", required=True)
     p_min = p_sea_sub.add_parser("min", help="minimum size of a maximal square")
-    p_min.add_argument("--n", type=int, required=True)
-    p_min.add_argument("--k", type=int, default=2)
+    p_min.add_argument("--n", type=_at_most(MAX_ORDER), required=True)
+    p_min.add_argument("--k", type=_at_most(MAX_LAYERS), default=2)
     p_min.add_argument("--budget", type=int, help="node budget for this run")
     p_min.add_argument("--checkpoint", help="checkpoint file (JSON)")
     p_min.add_argument("--resume", action="store_true", help="resume from checkpoint")

@@ -101,9 +101,7 @@ def covering_radius(code: Code) -> int:
             break
     else:
         raise AssertionError("distance transform failed to converge")
-    radius = int(dist.max())
-    assert radius <= length
-    return radius
+    return int(dist.max())
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ Two square formats:
 * **structured JSON**: a versioned, self-describing document with
   explicit ``n`` and ``k`` and 0-based cells.  Lossless for every square
   including the empty one; preferred for machine interchange.  Orders
-  above :data:`MAX_ORDER` are rejected before anything is built.
+  above :data:`MAX_ORDER` and layer counts above :data:`MAX_LAYERS` are
+  rejected before anything is built.
 
 :func:`load_square` is the one square reader: it tells JSON from a grid
 by a leading brace.  Both parsers re-validate the square on load, and
@@ -38,6 +39,12 @@ MAX_TEXT_ORDER = 35  # one base-36 digit per 1-based symbol
 #: tiny file must not be able to declare n = 10^8; 2000 is well above the
 #: orders the constructions are checked at (n = 300 takes seconds).
 MAX_ORDER = 2000
+#: Largest layer count k either parser accepts.  A square's constraint
+#: index holds (k + 2)^2 lists of n masks and the candidate scan packs
+#: k(k - 1)/2 pair tables of n * ceil(n / 64) words, so a tiny file must
+#: not be able to declare k = 10^5 either; at k = 32 and n = 2000 those
+#: tables take about 250 MB.
+MAX_LAYERS = 32
 
 JSON_FORMAT = "kpls"
 JSON_VERSION = 1
@@ -112,6 +119,8 @@ def from_text_grid(text: str, k: int | None = None) -> KPartialSquare:
         seen_k = k
     elif k is not None and k != seen_k:
         raise ParseError(f"grid tokens have {seen_k} digits but k={k} was requested")
+    if seen_k > MAX_LAYERS:
+        raise ParseError(f"layer count k={seen_k} exceeds the supported maximum {MAX_LAYERS}")
     try:
         return KPartialSquare.from_cells(n, seen_k, cells)
     except SquareError as exc:
@@ -153,6 +162,8 @@ def from_json(text: str) -> KPartialSquare:
         raise ParseError(f"missing or malformed field: {exc}") from exc
     if n > MAX_ORDER:
         raise ParseError(f"order n={n} exceeds the supported maximum {MAX_ORDER}")
+    if k > MAX_LAYERS:
+        raise ParseError(f"layer count k={k} exceeds the supported maximum {MAX_LAYERS}")
     if not isinstance(raw_cells, list):
         raise ParseError("'cells' must be a list")
     cells: dict[Cell, EntryTuple] = {}

@@ -34,6 +34,17 @@ extendable cell and the scan stops there.  The witness tuple is the
 lex-least one at that cell, found without listing the others.  It is
 still a per-cell candidate test, independent of the clique search in
 :mod:`mopls.graphview` and the covering radius in :mod:`mopls.codes`.
+
+:func:`maximalize` inserts greedily and never lists a cell's candidate
+set.  The lex policy takes the cell's least tuple with the same early
+stop.  The random policy counts and ranks: it counts the cell's legal
+tuples from its k allowed-symbol masks with ``int.bit_count`` (the last
+layer is one popcount per prefix, the last two layers a single loop),
+draws ``rng.randrange(count)``, and walks down the layers, skipping the
+subtree count of every lower symbol, to the tuple of that lex rank.
+``randrange(count)`` and ``choice`` on a list of ``count`` tuples both
+draw ``_randbelow(count)``, so a seed gives the square that choosing
+from the listed candidates gives.
 """
 
 from __future__ import annotations
@@ -60,20 +71,22 @@ class ExtensionWitness:
     entries: EntryTuple
 
 
+def _allowed(table: list[list[list[int]]], n: int, k: int, cell: Cell) -> list[int]:
+    """Per layer, the mask of symbols unused in the cell's row and column."""
+    r, c = cell
+    free = (1 << n) - 1
+    return [free & ~(table[0][j][r] | table[1][j][c]) for j in range(2, k + 2)]
+
+
 def _candidates(
     index: Projections, n: int, k: int, cell: Cell, first: bool = False
 ) -> list[EntryTuple]:
     """All entry tuples legal at an empty cell, lexicographically sorted;
     with ``first``, only the least of them (or none)."""
-    r, c = cell
     table = index.table
-    free = (1 << n) - 1
-    allowed = []
-    for j in range(2, k + 2):
-        mask = free & ~(table[0][j][r] | table[1][j][c])
-        if mask == 0:
-            return []
-        allowed.append(mask)
+    allowed = _allowed(table, n, k, cell)
+    if not all(allowed):
+        return []
     out: list[EntryTuple] = []
     prefix: list[int] = []
 
@@ -96,6 +109,54 @@ def _candidates(
 
     extend(0)
     return out
+
+
+def _count(table: list[list[list[int]]], masks: list[int], j: int) -> int:
+    """Number of legal tuples for layers j, j + 1, ... whose allowed-symbol
+    masks, already narrowed by the symbols chosen below layer j, are ``masks``."""
+    mask, later = masks[0], masks[1:]
+    if not later:
+        return mask.bit_count()
+    total = 0
+    if len(later) == 1:
+        last, pair = later[0], table[2 + j][3 + j]
+        while mask:
+            low = mask & -mask
+            total += (last & ~pair[low.bit_length() - 1]).bit_count()
+            mask ^= low
+        return total
+    pairs = table[2 + j][3 + j:]
+    while mask:
+        low = mask & -mask
+        total += _count(table, [m & ~p[low.bit_length() - 1] for m, p in zip(later, pairs)], j + 1)
+        mask ^= low
+    return total
+
+
+def _tuple_of_rank(table: list[list[list[int]]], masks: list[int], rank: int) -> EntryTuple:
+    """The legal tuple of lex rank ``rank`` (below ``_count(table, masks, 0)``):
+    at each layer, skip the whole subtrees of lower symbols."""
+    out = []
+    for j in range(len(masks) - 1):
+        mask, later = masks[0], masks[1:]
+        pairs = table[2 + j][3 + j:]
+        while True:
+            e = (mask & -mask).bit_length() - 1
+            if len(later) == 1:
+                size = (later[0] & ~pairs[0][e]).bit_count()
+            else:
+                size = _count(table, [m & ~p[e] for m, p in zip(later, pairs)], j + 1)
+            if rank < size:
+                break
+            rank -= size
+            mask &= mask - 1
+        out.append(e)
+        masks = [m & ~p[e] for m, p in zip(later, pairs)]
+    mask = masks[0]
+    for _ in range(rank):
+        mask &= mask - 1
+    out.append((mask & -mask).bit_length() - 1)
+    return tuple(out)
 
 
 def candidate_tuples(square: KPartialSquare, cell: Cell) -> list[EntryTuple]:
@@ -178,7 +239,9 @@ def maximalize(
 
     ``policy="lex"`` visits empty cells in row-major order and inserts the
     lexicographically least candidate tuple; ``policy="random"`` shuffles
-    the cell order and picks candidates uniformly, driven by ``seed``.
+    the cell order and picks candidates uniformly, driven by ``seed``, by
+    drawing a rank below the cell's candidate count (see the module
+    docstring).
 
     A single pass suffices: insertions only shrink the candidate sets of
     other cells, so a cell seen with no candidates stays uninsertable for
@@ -192,11 +255,20 @@ def maximalize(
     if rng is not None:
         rng.shuffle(order)
     cells = dict(square.cells)
+    n, k, table = square.n, square.k, index.table
     for cell in order:
-        cands = _candidates(index, square.n, square.k, cell)
-        if not cands:
-            continue
-        choice = cands[0] if rng is None else rng.choice(cands)
+        if rng is None:
+            cands = _candidates(index, n, k, cell, first=True)
+            if not cands:
+                continue
+            choice = cands[0]
+        else:
+            masks = _allowed(table, n, k, cell)
+            count = _count(table, masks, 0) if all(masks) else 0
+            if not count:
+                continue
+            # randrange(count) draws _randbelow(count), as choice() did on the list
+            choice = _tuple_of_rank(table, masks, rng.randrange(count))
         cells[cell] = choice
         index.add(cell + choice)
     result = KPartialSquare(square.n, square.k, cells)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from .construct import mopls_plan, mpls_plan
-from .core import Cell, KPartialSquare, SquareError
+from .core import Cell, KPartialSquare, SelfCheckError, SquareError
 from .maximality import is_maximal
 
 
@@ -51,23 +51,37 @@ def inequality_rhs(n: int, m: int, t: int) -> int:
 
 
 def _max_matching(adj: list[list[int]], n_right: int) -> tuple[list[int], list[int]]:
-    """Augmenting-path matching; returns (match_left, match_right), -1 if free."""
+    """Augmenting-path matching; returns (match_left, match_right), -1 if free.
+
+    Each left vertex in turn starts a depth-first search for an augmenting
+    path that tries its neighbours in ascending order (``adj`` rows are
+    ascending).  The search keeps its path on an explicit stack, so a path
+    may be as long as the region is wide, and it takes a vertex's next
+    unvisited neighbour as the lowest set bit of an int mask.
+    """
     match_left = [-1] * len(adj)
     match_right = [-1] * n_right
-
-    def augment(u: int, visited: list[bool]) -> bool:
-        for v in adj[u]:
-            if visited[v]:
+    masks = [sum(1 << v for v in row) for row in adj]
+    for root in range(len(adj)):
+        visited = 0
+        path, via = [root], []  # via[i]: the right vertex path[i] tries for path[i + 1]
+        while path:
+            options = masks[path[-1]] & ~visited
+            if not options:
+                path.pop()
+                if via:
+                    via.pop()
                 continue
-            visited[v] = True
-            if match_right[v] == -1 or augment(match_right[v], visited):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        return False
-
-    for u in range(len(adj)):
-        augment(u, [False] * n_right)
+            low = options & -options
+            visited |= low
+            v = low.bit_length() - 1
+            via.append(v)
+            if match_right[v] == -1:
+                for u, w in zip(path, via):
+                    match_left[u] = w
+                    match_right[w] = u
+                break
+            path.append(match_right[v])
     return match_left, match_right
 
 
@@ -141,12 +155,21 @@ def max_empty_transversal(
     matching = tuple(
         (rows[u], cols[v]) for u, v in enumerate(match_left) if v != -1
     )
-    assert len(cover_left) + len(cover_right) == len(matching)
-    cover_l, cover_r = set(cover_left), set(cover_right)
+    # a cover as large as the matching that every empty cell touches
+    # proves no larger transversal exists (König)
+    if len(cover_left) + len(cover_right) != len(matching):
+        raise SelfCheckError(
+            f"vertex cover of {len(cover_left) + len(cover_right)} lines does not match "
+            f"the transversal of {len(matching)} cells"
+        )
+    covered_left, covered_right = set(cover_left), set(cover_right)
     for u in range(d):
-        for v in adj[u]:
-            # every empty cell must touch the cover, sealing optimality
-            assert u in cover_l or v in cover_r
+        if u not in covered_left:
+            for v in adj[u]:
+                if v not in covered_right:
+                    raise SelfCheckError(
+                        f"empty cell {(rows[u], cols[v])} touches no line of the vertex cover"
+                    )
     return TransversalReport(
         rows=rows,
         cols=cols,
@@ -286,7 +309,11 @@ def verify_bound(square: KPartialSquare) -> BoundReport:
     conj = square.conjugate(swap_to_first_entry)
     rows_with = {r for (r, _), entries in conj.cells.items() if entries[0] == idx}
     cols_with = {c for (_, c), entries in conj.cells.items() if entries[0] == idx}
-    assert len(rows_with) == len(cols_with) == m
+    if not len(rows_with) == len(cols_with) == m:
+        raise SelfCheckError(
+            f"symbol {idx} fills {len(rows_with)} rows and {len(cols_with)} cols of the "
+            f"conjugate, not its minimum frequency {m}"
+        )
     region_rows = sorted(set(range(n)) - rows_with)
     region_cols = sorted(set(range(n)) - cols_with)
     t = max_empty_transversal(conj, region_rows, region_cols).size
@@ -444,7 +471,6 @@ def _verify_block_structure(
                 if entries is None or any(not offset <= e < offset + m for e in entries):
                     return _fail(square, "canonical form fails the diagonal block recheck", note)
         offset += m
-    assert canonical.filled_count == sum(m * m for m in orders) == square.filled_count
     return StructureReport(
         ok=True,
         reason=None,

@@ -101,6 +101,24 @@ def oracle_find_extension(square: KPartialSquare):
     return None
 
 
+def oracle_maximalize(square: KPartialSquare, policy: str = "lex", seed=None) -> KPartialSquare:
+    """Greedy completion by listing: every cell's full candidate list, then its
+    first tuple (lex) or ``rng.choice`` of it (random), over the cell order
+    ``maximalize`` uses; the listing loop that count-and-rank selection replaced."""
+    rng = random.Random(seed) if policy == "random" else None
+    index = square.projections()
+    order = list(square.empty_cells())
+    if rng is not None:
+        rng.shuffle(order)
+    cells = dict(square.cells)
+    for cell in order:
+        cands = _candidates(index, square.n, square.k, cell)
+        if cands:
+            cells[cell] = cands[0] if rng is None else rng.choice(cands)
+            index.add(cell + cells[cell])
+    return KPartialSquare(square.n, square.k, cells)
+
+
 def oracle_is_maximal(square: KPartialSquare) -> bool:
     return all(not oracle_candidates(square, cell) for cell in square.empty_cells())
 
@@ -188,6 +206,29 @@ def oracle_max_empty_transversal(square: KPartialSquare, rows, cols) -> int:
         return best
 
     return grow(empties, frozenset(), frozenset())
+
+
+def oracle_max_matching(adj, n_right):
+    """The recursive augmenting-path matcher the explicit-stack one replaced:
+    (match_left, match_right), each left vertex trying its neighbours in
+    list order."""
+    match_left = [-1] * len(adj)
+    match_right = [-1] * n_right
+
+    def augment(u, visited):
+        for v in adj[u]:
+            if visited[v]:
+                continue
+            visited[v] = True
+            if match_right[v] == -1 or augment(match_right[v], visited):
+                match_left[u] = v
+                match_right[v] = u
+                return True
+        return False
+
+    for u in range(len(adj)):
+        augment(u, [False] * n_right)
+    return match_left, match_right
 
 
 # -- strategies ----------------------------------------------------------------

@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA, write_half_then_fail
-from mopls import construct
+from mopls import construct, verify
 from mopls.cli import build_parser, main
 from mopls.construct import min_mopls, min_mpls, k_ols
-from mopls.formats import MAX_ORDER, from_text_grid, load_square, save_square, to_json
+from mopls.formats import MAX_LAYERS, MAX_ORDER, from_text_grid, load_square, save_square, to_json
 from mopls.maximality import is_maximal
 
 
@@ -109,6 +109,31 @@ def test_verify_maximal_rejects_an_oversized_order_at_once(tmp_path, capsys):
     assert main(["verify", "maximal", str(path)]) == 3
     assert time.perf_counter() - started < 0.5
     assert f"exceeds the supported maximum {MAX_ORDER}" in capsys.readouterr().out
+
+
+def test_verify_maximal_rejects_an_oversized_layer_count_at_once(tmp_path, capsys):
+    path = tmp_path / "layers.json"
+    path.write_text('{"format": "kpls", "version": 1, "n": 2, "k": 100000, "cells": []}')
+    started = time.perf_counter()
+    assert main(["verify", "maximal", str(path)]) == 3
+    assert time.perf_counter() - started < 0.5
+    assert f"k=100000 exceeds the supported maximum {MAX_LAYERS}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "maximal", "--n", "5", "--k", "100000"],
+    ["construct", "maximal", "--n", "100000000"],
+    ["search", "min", "--n", "2", "--k", "100000"],
+    ["search", "min", "--n", "100000000"],
+], ids=["construct-k", "construct-n", "search-k", "search-n"])
+def test_oversized_order_or_layer_count_flag_is_a_usage_error_at_once(argv, capsys):
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert time.perf_counter() - started < 0.5
+    limit = MAX_LAYERS if "--k" in argv else MAX_ORDER
+    assert f"exceeds the supported maximum {limit}" in capsys.readouterr().err
 
 
 def test_verify_maximal_batch_with_threads(square_file, tmp_path, capsys):
@@ -345,6 +370,14 @@ GOLDEN_RUNS = {
     "construct-text": (["construct", "min-mopls", "--n", "9", "--out", "min-mopls-9.txt"], "min-mopls-9.txt"),
     "construct-format-json": (
         ["construct", "min-mopls", "--n", "9", "--format", "json", "--out", "min-mopls-9.dat"], "min-mopls-9.dat"),
+    "construct-maximal-lex": (
+        ["construct", "maximal", "--n", "9", "--k", "2", "--out", "maximal-9-k2-lex.txt"], "maximal-9-k2-lex.txt"),
+    "construct-maximal-k2": (
+        ["construct", "maximal", "--n", "9", "--k", "2", "--seed", "7", "--out", "maximal-9-k2-seed7.txt"],
+        "maximal-9-k2-seed7.txt"),
+    "construct-maximal-k3": (
+        ["construct", "maximal", "--n", "7", "--k", "3", "--seed", "7", "--out", "maximal-7-k3-seed7.txt"],
+        "maximal-7-k3-seed7.txt"),
     "search-min": (["search", "min", "--n", "2", "--out", "search-min-2.json"], "search-min-2.json"),
     "code-export": (["code", "export", "in.json", "--out", "code-9.json"], "code-9.json"),
     "graph-dot": (["export", "graph", "in.json", "--format", "dot", "--out", "graph-9.dot"], "graph-9.dot"),
@@ -390,6 +423,12 @@ def test_construction_that_fails_its_own_check_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(construct, "is_maximal", lambda square: False)
     assert main(["construct", "min-mopls", "--n", "9"]) == 1
     assert capsys.readouterr().err == "error: order-9 construction is not maximal\n"
+
+
+def test_verify_whose_own_check_fails_exits_1(square_file, monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_min_cover", lambda *args: ([], []))
+    assert main(["verify", "bound", str(square_file)]) == 1
+    assert capsys.readouterr().err == "error: vertex cover of 0 lines does not match the transversal of 6 cells\n"
 
 
 # -- parser-level behavior ------------------------------------------------------------

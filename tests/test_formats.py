@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given
@@ -13,7 +14,7 @@ from mopls import (
     to_json,
     to_text_grid,
 )
-from mopls.formats import MAX_ORDER, MAX_TEXT_ORDER
+from mopls.formats import MAX_LAYERS, MAX_ORDER, MAX_TEXT_ORDER
 
 from conftest import partial_squares
 
@@ -98,6 +99,19 @@ def test_parsers_reject_orders_above_the_maximum():
     assert MAX_TEXT_ORDER < MAX_ORDER
     with pytest.raises(ParseError, match="supports n <= 35"):
         from_text_grid("\n".join(["- " * 36] * 36), k=2)
+
+
+def test_parsers_reject_layer_counts_above_the_maximum():
+    doc = {"format": "kpls", "version": 1, "n": 2, "cells": []}
+    assert from_json(json.dumps({**doc, "k": MAX_LAYERS})).k == MAX_LAYERS
+    started = time.perf_counter()
+    with pytest.raises(ParseError, match=f"k=100000 exceeds the supported maximum {MAX_LAYERS}"):
+        from_json(json.dumps({**doc, "k": 100000}))
+    with pytest.raises(ParseError, match=f"k={MAX_LAYERS + 1} exceeds the supported maximum"):
+        from_text_grid("1" * (MAX_LAYERS + 1) + " -\n- -\n")
+    with pytest.raises(ParseError, match="k=100000 exceeds the supported maximum"):
+        from_text_grid("- -\n- -\n", k=100000)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_json_schema_fields():

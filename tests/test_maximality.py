@@ -16,6 +16,7 @@ from conftest import (
     oracle_candidates,
     oracle_find_extension,
     oracle_is_maximal,
+    oracle_maximalize,
     oracle_valid,
     partial_squares,
     square_with_empty_cell,
@@ -149,10 +150,37 @@ def test_maximalize_random_is_seed_reproducible(n, seed):
     assert is_maximal(a)
 
 
+@given(
+    st.one_of(
+        st.builds(KPartialSquare.empty, st.integers(1, 9), st.integers(1, 4)),
+        partial_squares(max_n=7, ks=(1, 2, 3, 4)),
+        maximal_squares_with_holes(),
+    ),
+    st.sampled_from(["lex", "random"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_maximalize_matches_the_listing_reference(square, policy, seed):
+    assert maximalize(square, policy, seed).cells == oracle_maximalize(square, policy, seed).cells
+
+
+@given(st.one_of(partial_squares(max_n=6, ks=(1, 2, 3, 4)), maximal_squares_with_holes(max_n=6)))
+def test_every_rank_names_the_candidate_of_that_rank(square):
+    index = square.projections()
+    for cell in square.empty_cells():
+        listed = maximality._candidates(index, square.n, square.k, cell)
+        masks = maximality._allowed(index.table, square.n, square.k, cell)
+        count = maximality._count(index.table, masks, 0)
+        assert count == len(listed)
+        assert [maximality._tuple_of_rank(index.table, masks, rank) for rank in range(count)] == listed
+
+
 def test_maximalize_checks_its_fill_explicitly(monkeypatch):
-    monkeypatch.setattr(maximality, "_candidates", lambda *args: [])
-    with pytest.raises(SelfCheckError, match="below the bound"):
-        maximalize(KPartialSquare.empty(3, 2))
+    # lex takes each cell's first candidate, random counts them
+    monkeypatch.setattr(maximality, "_candidates", lambda *args, **kwargs: [])
+    monkeypatch.setattr(maximality, "_count", lambda *args: 0)
+    for policy in ("lex", "random"):
+        with pytest.raises(SelfCheckError, match="below the bound"):
+            maximalize(KPartialSquare.empty(3, 2), policy, seed=1)
 
 
 def test_maximalize_rejects_unknown_policy():

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_max_empty_transversal, partial_squares
+from conftest import oracle_max_empty_transversal, oracle_max_matching, partial_squares
+from mopls import verify
 from mopls.construct import k_ols, min_mopls, min_mpls
-from mopls.core import KPartialSquare, SquareError
+from mopls.core import KPartialSquare, SelfCheckError, SquareError
 from mopls.maximality import maximalize
 from mopls.verify import (
     check_lemma2,
@@ -122,6 +123,36 @@ def test_transversal_of_empty_square_fills_the_diagonal():
     assert len(report.matching) == 5
 
 
+@given(st.integers(0, 12).flatmap(lambda width: st.tuples(
+    st.lists(st.sets(st.integers(0, width - 1)) if width else st.just(set()), max_size=12), st.just(width))))
+def test_matcher_matches_the_recursive_reference(case):
+    rows, width = case
+    adj = [sorted(row) for row in rows]
+    assert verify._max_matching(adj, width) == oracle_max_matching(adj, width)
+
+
+def test_transversal_of_a_wide_empty_region_needs_no_recursion():
+    # every augmenting path runs through all earlier rows, 1500 deep
+    n = 1500
+    report = max_empty_transversal(KPartialSquare.empty(n, 2), range(n), range(n))
+    assert report.size == n
+    assert sorted(r for r, _ in report.matching) == sorted(c for _, c in report.matching) == list(range(n))
+    assert len(report.cover_rows) + len(report.cover_cols) == n
+
+
+def test_transversal_checks_its_cover_size(monkeypatch):
+    monkeypatch.setattr(verify, "_min_cover", lambda *args: ([], []))
+    with pytest.raises(SelfCheckError, match="vertex cover of 0 lines"):
+        max_empty_transversal(KPartialSquare.empty(2, 2), range(2), range(2))
+
+
+def test_transversal_checks_that_its_cover_touches_every_empty_cell(monkeypatch):
+    # row 0 and column 0 are as many lines as the matching, but miss cell (1, 1)
+    monkeypatch.setattr(verify, "_min_cover", lambda *args: ([0], [0]))
+    with pytest.raises(SelfCheckError, match=r"empty cell \(1, 1\) touches no line"):
+        max_empty_transversal(KPartialSquare.empty(2, 2), range(2), range(2))
+
+
 def test_transversal_rejects_bad_regions():
     square = KPartialSquare.empty(4, 2)
     with pytest.raises(ValueError):
@@ -219,6 +250,13 @@ def test_bound_holds_on_random_maximal_squares(square, seed):
     assert report.ok
     assert report.filled == maximal.filled_count
     assert report.filled >= lower_bound(maximal.n) or not report.attains_lower_bound
+
+
+def test_bound_checks_the_minimum_frequency_it_builds_on(monkeypatch):
+    located = verify.locate_min_frequency
+    monkeypatch.setattr(verify, "locate_min_frequency", lambda square: located(square)[:2] + (4,))
+    with pytest.raises(SelfCheckError, match="not its minimum frequency 4"):
+        verify_bound(min_mopls(9))
 
 
 # -- structure of minimum one-layer squares ----------------------------------------
@@ -328,6 +366,14 @@ def test_min_structure_is_relabel_invariant():
         shuffled = square.relabel(perms[0], perms[1], [perms[2], perms[3]])
         report = verify_min_structure(shuffled)
         assert report.ok and report.block_orders == (7, 7, 8)
+
+
+@pytest.mark.parametrize("square", [min_mpls(7), min_mopls(9), min_mopls(22)], ids=["mpls-7", "mopls-9", "mopls-22"])
+def test_structure_canonical_form_keeps_every_cell_in_its_blocks(square):
+    verifier = verify_hr_structure if square.k == 1 else verify_min_structure
+    report = verifier(square)
+    assert report.ok
+    assert report.canonical.filled_count == sum(m * m for m in report.block_orders) == square.filled_count
 
 
 def test_min_structure_rejects_merged_symbol_classes():
