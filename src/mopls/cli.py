@@ -12,8 +12,10 @@ wall time.  Outputs and manifests alike are written with
 :func:`mopls.formats.write_atomic`, so a failed write leaves the previous
 file whole.
 
-Exit codes: 0 success; 1 a verification failed (or a built square failed
-its own check); 2 usage error, or an output file that cannot be written;
+Exit codes: 0 success; 1 a verification failed (or a built square or a
+printed certificate failed its own check); 2 usage error (including
+``--n`` or ``--k`` above :data:`mopls.formats.MAX_ORDER` or
+:data:`mopls.formats.MAX_LAYERS`), or an output file that cannot be written;
 3 malformed input file or search checkpoint, including a missing
 checkpoint for ``--resume``; 4 parameters are infeasible (for example a
 minimum construction at an order whose blocks do not exist).

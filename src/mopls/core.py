@@ -40,8 +40,9 @@ class SquareError(ValueError):
 
 
 class SelfCheckError(SquareError):
-    """A built square failed its own certificate check (fill count or
-    maximality): a bug in the program, not bad input."""
+    """A built square or a printed certificate failed its own check (fill
+    count, maximality, a transversal's König cover): a bug in the program,
+    not bad input."""
 
 
 class CellOccupiedError(SquareError):

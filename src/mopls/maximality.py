@@ -267,7 +267,7 @@ def maximalize(
             count = _count(table, masks, 0) if all(masks) else 0
             if not count:
                 continue
-            # randrange(count) draws _randbelow(count), as choice() did on the list
+            # the same _randbelow(count) draw as choice() on the listed candidates
             choice = _tuple_of_rank(table, masks, rng.randrange(count))
         cells[cell] = choice
         index.add(cell + choice)

@@ -84,11 +84,9 @@ def test_covering_radius_matches_brute_force(square):
     )
 
 
-@given(st.integers(1, 4).flatmap(lambda n: st.integers(1, 4).flatmap(lambda length: st.tuples(
-    st.just(n), st.just(length),
-    st.sets(st.tuples(*[st.integers(0, n - 1)] * length), min_size=1, max_size=8)))))
-def test_covering_radius_is_at_most_the_length(case):
-    n, length, words = case
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_covering_radius_is_at_most_the_length(n, length, data):
+    words = data.draw(st.sets(st.tuples(*[st.integers(0, n - 1)] * length), min_size=1, max_size=8))
     radius = covering_radius(Code(n, length, tuple(sorted(words))))
     assert 0 <= radius <= length
     assert radius == oracle_covering_radius(words, n, length)

@@ -123,11 +123,9 @@ def test_transversal_of_empty_square_fills_the_diagonal():
     assert len(report.matching) == 5
 
 
-@given(st.integers(0, 12).flatmap(lambda width: st.tuples(
-    st.lists(st.sets(st.integers(0, width - 1)) if width else st.just(set()), max_size=12), st.just(width))))
-def test_matcher_matches_the_recursive_reference(case):
-    rows, width = case
-    adj = [sorted(row) for row in rows]
+@given(st.integers(1, 12), st.data())
+def test_matcher_matches_the_recursive_reference(width, data):
+    adj = [sorted(row) for row in data.draw(st.lists(st.sets(st.integers(0, width - 1)), max_size=12))]
     assert verify._max_matching(adj, width) == oracle_max_matching(adj, width)
 
 
