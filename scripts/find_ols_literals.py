@@ -20,8 +20,9 @@ Two search strategies:
   square space with Jacobson-Matthews box flips, annealing on the number
   of duplicated superimposed pairs until it reaches zero.
 
-Standalone on purpose: stdlib only, no package imports, so the bundled
-data can be regenerated before the package itself is installable.
+Standalone on purpose: no package imports, so the bundled data can be
+regenerated before the package itself is installable.  Stdlib only, except
+that the pool-cover strategy imports numpy when it runs.
 """
 
 from __future__ import annotations

@@ -19,9 +19,10 @@ import argparse
 import json
 import sys
 import time
-from math import ceil
 from pathlib import Path
 
+from mopls.core import lower_bound
+from mopls.formats import write_atomic
 from mopls.search import min_maximal, verify_bound_exhaustive
 
 # full census is cheap up to here; beyond it only the minimum is chased
@@ -29,7 +30,7 @@ CENSUS_LIMIT = 3
 
 
 def survey_order(n: int, k: int, budget: int | None, checkpoint_dir: Path | None) -> dict:
-    bound = ceil(n * n / 3) if k == 2 else 1
+    bound = lower_bound(n) if k == 2 else 1
     started = time.time()
     if n <= CENSUS_LIMIT:
         report = verify_bound_exhaustive(n, k)
@@ -95,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out:
         doc = {"k": args.k, "budget": args.budget, "rows": rows}
-        args.out.write_text(json.dumps(doc, indent=2) + "\n")
+        write_atomic(args.out, json.dumps(doc, indent=2) + "\n")
         print(f"wrote {args.out}")
     return 0
 

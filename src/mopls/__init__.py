@@ -27,6 +27,7 @@ from .core import (
     SquareError,
     ValidationReport,
     Violation,
+    lower_bound,
 )
 from .formats import (
     ParseError,
@@ -47,7 +48,6 @@ from .verify import (
     TransversalReport,
     check_lemma2,
     inequality_rhs,
-    lower_bound,
     max_empty_transversal,
     verify_bound,
     verify_hr_structure,

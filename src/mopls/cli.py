@@ -28,7 +28,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -42,7 +41,7 @@ from .formats import MAX_LAYERS, MAX_ORDER, MAX_TEXT_ORDER, ParseError, json_doc
 from .graphview import complement
 from .maximality import find_extension, maximalize
 from .search import min_maximal
-from .verify import check_lemma2, max_empty_transversal, verify_bound, verify_hr_structure, verify_min_structure
+from .verify import check_lemma2, verify_bound, verify_hr_structure, verify_min_structure
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -64,9 +63,9 @@ class RunContext:
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
 
-    def read_square(self, path: str, k: int | None = None) -> KPartialSquare:
+    def read_square(self, path: str) -> KPartialSquare:
         p = Path(path)
-        square = load_square(p, k=k)
+        square = load_square(p)
         self.inputs.append(p)
         return square
 
@@ -179,11 +178,10 @@ def cmd_verify(ctx: RunContext, args: argparse.Namespace) -> int:
     what = args.what
     if what == "maximal":
         paths = args.files
-        threads = args.threads or int(os.environ.get("MOPLS_THREADS", "1"))
-        if threads > 1 and len(paths) > 1:
+        if args.threads and args.threads > 1 and len(paths) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            with ProcessPoolExecutor(max_workers=args.threads) as pool:
                 results = list(pool.map(_verify_one_maximal, paths))
         else:
             results = [_verify_one_maximal(p) for p in paths]

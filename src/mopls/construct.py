@@ -23,7 +23,7 @@ from functools import lru_cache
 from importlib import resources
 from math import ceil
 
-from .core import Cell, EntryTuple, KPartialSquare, SelfCheckError
+from .core import Cell, EntryTuple, KPartialSquare, SelfCheckError, lower_bound
 from .formats import ParseError, from_json
 from .maximality import is_maximal
 
@@ -258,15 +258,6 @@ class ConstructionPlan:
     block_orders: tuple[int, ...]
 
     @property
-    def offsets(self) -> tuple[int, ...]:
-        out = []
-        total = 0
-        for m in self.block_orders:
-            out.append(total)
-            total += m
-        return tuple(out)
-
-    @property
     def filled(self) -> int:
         return sum(m * m for m in self.block_orders)
 
@@ -340,7 +331,7 @@ def min_mopls(n: int) -> KPartialSquare:
         raise ConstructionError(
             f"minimum construction for n={n} needs blocks {plan.block_orders}: {exc}"
         ) from exc
-    _check_minimum(square, plan, ceil(n * n / 3))
+    _check_minimum(square, plan, lower_bound(n))
     return square
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import ceil
 from numbers import Integral
 from typing import Iterable, Iterator, Mapping
 
@@ -55,6 +56,11 @@ class LatinConflictError(SquareError):
 
 class OrthogonalityConflictError(SquareError):
     """Two words would agree in two or more coordinate positions."""
+
+
+def lower_bound(n: int) -> int:
+    """Least possible fill of a maximal two-layer square of order n."""
+    return ceil(n * n / 3)
 
 
 def agreement_positions(a: Word, b: Word) -> tuple[int, ...]:
@@ -171,29 +177,30 @@ class Projections:
     and w[b] = y.  Two words agree in two coordinates exactly when they
     share a value pair in some projection, so these tables record every
     constraint of a square (the strength-2 orthogonal-array view).
-    Values must lie in 0..n-1; the diagonal a = b is filled but unused.
+    Only the pairs a < b are recorded: ``table[a][b]`` is None for b <= a,
+    as the pair (b, a) holds the same value pairs transposed.  Values must
+    lie in 0..n-1.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "_pairs")
 
     def __init__(self, n: int, width: int, words: Iterable[Word] = ()):
-        self.table = [[[0] * n for _ in range(width)] for _ in range(width)]
+        self.table = [
+            [None] * (a + 1) + [[0] * n for _ in range(a + 1, width)] for a in range(width)
+        ]
+        # (a, b, table[a][b]) for every a < b, walked as one flat loop per word
+        self._pairs = [(a, b, self.table[a][b]) for a, b in combinations(range(width), 2)]
         for word in words:
             self.add(word)
 
     def add(self, word: Word) -> None:
         """Record ``word`` in every projection."""
-        for a, row in enumerate(self.table):
-            x = word[a]
-            for b, column in enumerate(row):
-                column[x] |= 1 << word[b]
+        for a, b, column in self._pairs:
+            column[word[a]] |= 1 << word[b]
 
     def clashes(self, word: Word) -> bool:
         """True when ``word`` agrees with some recorded word in two coordinates."""
-        table = self.table
-        return any(
-            table[a][b][word[a]] >> word[b] & 1 for a, b in combinations(range(len(word)), 2)
-        )
+        return any(column[word[a]] >> word[b] & 1 for a, b, column in self._pairs)
 
 
 class KPartialSquare:
@@ -283,12 +290,6 @@ class KPartialSquare:
     def projections(self) -> Projections:
         """A fresh projection index of the filled cells' words."""
         return Projections(self.n, self.k + 2, self.words())
-
-    def word_at(self, cell: Cell) -> Word:
-        entries = self._cells.get(cell)
-        if entries is None:
-            raise SquareError(f"cell {cell} is empty, it has no word")
-        return cell + entries
 
     # -- edits (value-like: return new squares) ------------------------
 

@@ -12,22 +12,24 @@ so this is just a (k+2)-clique.  Hence a square is maximal if and only
 if its complement graph has no (k+2)-clique, which makes clique search
 an independent maximality check.
 
-Bookkeeping facts used by the property tests: every group pair carries
-n^2 - F complement edges (F = filled cells), so each pair's edge density
-is (n^2 - F) / n^2, and each vertex's complement degree splits evenly,
-deg / (k+1) to every other group.
+Bookkeeping facts, checked from the edge list by
+``tests/test_graphview.py::test_density_identity`` and
+``test_degree_splits_evenly`` and by
+``tests/test_acceptance.py::test_randomized_property_sweep``: every group
+pair carries n^2 - F complement edges (F = filled cells), so each pair's
+edge density is (n^2 - F) / n^2, and each vertex's complement degree
+splits evenly, deg / (k+1) to every other group.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .core import KPartialSquare, bits_above
 
 
 class ComplementGraph:
-    """Adjacency bitmasks of the complement graph, per ordered group pair."""
+    """Adjacency bitmasks of the complement graph, per group pair a < b."""
 
     __slots__ = ("n", "k", "groups", "_adj")
 
@@ -36,39 +38,12 @@ class ComplementGraph:
         self.k = square.k
         self.groups = square.k + 2
         full = (1 << square.n) - 1
-        # _adj[a][b][x] = bitmask of group-b vertices adjacent to vertex x of
-        # group a: every value pair that no word projects onto (a, b)
+        # _adj[a][b][x] for a < b = bitmask of group-b vertices adjacent to
+        # vertex x of group a: every value pair that no word projects onto (a, b)
         self._adj = [
-            [[full & ~used for used in column] for column in row]
-            for row in square.projections().table
+            row[:a + 1] + [[full & ~used for used in column] for column in row[a + 1:]]
+            for a, row in enumerate(square.projections().table)
         ]
-
-    def adjacency(self, group_a: int, group_b: int, vertex: int) -> int:
-        """Bitmask of group_b vertices adjacent to ``vertex`` of group_a."""
-        if group_a == group_b:
-            return 0
-        return self._adj[group_a][group_b][vertex]
-
-    def has_edge(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
-        (ga, va), (gb, vb) = a, b
-        return bool((self.adjacency(ga, gb, va) >> vb) & 1)
-
-    def edge_count(self, group_a: int, group_b: int) -> int:
-        return sum(m.bit_count() for m in self._adj[group_a][group_b])
-
-    def densities(self) -> dict[tuple[int, int], Fraction]:
-        """Exact edge density per group pair, edges / n^2."""
-        return {
-            (a, b): Fraction(self.edge_count(a, b), self.n * self.n)
-            for a, b in combinations(range(self.groups), 2)
-        }
-
-    def degree(self, group: int, vertex: int) -> int:
-        return sum(
-            self.adjacency(group, other, vertex).bit_count()
-            for other in range(self.groups)
-            if other != group
-        )
 
     def find_clique(self) -> list[tuple[int, int]] | None:
         """A (k+2)-clique as [(group, vertex), ...], or None.
@@ -103,10 +78,6 @@ class ComplementGraph:
                 if extend(0, masks):
                     return [(0, r), (1, c)] + [(2 + j, v) for j, v in enumerate(chosen)]
         return None
-
-    def is_clique_free(self) -> bool:
-        """True when no (k+2)-clique exists, i.e. the square is maximal."""
-        return self.find_clique() is None
 
     # -- export -------------------------------------------------------
 

@@ -51,11 +51,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
-from .core import Cell, EntryTuple, KPartialSquare, Projections, SelfCheckError, SquareError
+from .core import Cell, EntryTuple, KPartialSquare, Projections, SelfCheckError, SquareError, lower_bound
 
 #: About the most 64-bit mask words one frontier slice may expand to: at
 #: layer i a slice holds ``_FRONTIER_WORDS // (n * ceil(n / 64) * (k - 1 - i))``
@@ -274,10 +273,10 @@ def maximalize(
     result = KPartialSquare(square.n, square.k, cells)
     # any maximal pair of orthogonal partial Latin squares fills at least
     # a third of the grid; a failure here means a bug, not bad input
-    if square.k == 2 and result.filled_count < ceil(square.n * square.n / 3):
+    if square.k == 2 and result.filled_count < lower_bound(square.n):
         raise SelfCheckError(
             f"completion filled {result.filled_count} cells, below the bound "
-            f"{ceil(square.n * square.n / 3)} for a maximal pair of order {square.n}"
+            f"{lower_bound(square.n)} for a maximal pair of order {square.n}"
         )
     return result
 

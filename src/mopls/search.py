@@ -48,17 +48,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import ceil, inf
+from math import inf
 from pathlib import Path
 from typing import Sequence
 
-from .core import KPartialSquare, SquareError, Word, bits_above
+from .core import KPartialSquare, SquareError, Word, bits_above, lower_bound
 from .formats import ParseError, read_json, write_atomic
 
 CHECKPOINT_VERSION = 1
 
 
 def _word_table(n: int, k: int) -> list[Word]:
+    """Every word of order n, in lexicographic order; raises ValueError for n < 1."""
+    if n < 1:
+        raise ValueError(f"order must be positive, got n={n}")
     return list(product(range(n), repeat=k + 2))
 
 
@@ -217,37 +220,6 @@ def is_canonical(words: "tuple[Word, ...] | list[Word]") -> bool:
     return True
 
 
-def canonical_form(words: "tuple[Word, ...] | list[Word]") -> tuple[Word, ...]:
-    """The least sorted word list over all relabelings (canonical representative)."""
-    source = tuple(sorted(words))
-    if not source:
-        return ()
-    width = len(source[0])
-    n = 1 + max(map(max, source))
-    # every state committed the same images so far, so they share nxt
-    nxt = [0] * width
-    states = {((-1,) * (width * n), frozenset(source))}
-    output: list[Word] = []
-    for _ in source:
-        images = [
-            (tuple(nxt[p] if lab[p * n + x] < 0 else lab[p * n + x] for p, x in enumerate(w)),
-             lab, remaining, w)
-            for lab, remaining in states
-            for w in remaining
-        ]
-        best = min(image for image, _, _, _ in images)
-        output.append(best)
-        states = set()
-        for image, lab, remaining, w in images:
-            if image == best:
-                new_lab = list(lab)
-                for p, x in enumerate(w):
-                    new_lab[p * n + x] = best[p]
-                states.add((tuple(new_lab), remaining - {w}))
-        nxt = [max(c, v + 1) for c, v in zip(nxt, best)]
-    return tuple(output)
-
-
 # -- search driver ------------------------------------------------------------
 
 
@@ -355,10 +327,6 @@ def _load_checkpoint(path: Path, n: int, k: int, compat: list[int]):
     return doc["level"], queue, doc["nodes"]
 
 
-def _to_square(n: int, k: int, words: list[Word]) -> KPartialSquare:
-    return KPartialSquare.from_words(n, k, words)
-
-
 def min_maximal(
     n: int,
     k: int = 2,
@@ -397,7 +365,7 @@ def min_maximal(
             maximal = next((words for words, mask in queue if mask == 0), None)
             if maximal is not None:
                 min_size = level_num
-                witness = _to_square(n, k, [table[i] for i in maximal])
+                witness = KPartialSquare.from_words(n, k, [table[i] for i in maximal])
                 break
     except _Budget:
         exhausted_budget = True
@@ -408,10 +376,10 @@ def min_maximal(
         completed = min_size  # levels 1..min_size fully enumerated
         no_below = min_size
         exact = True
-        if k == 2 and min_size < ceil(n * n / 3):
+        if k == 2 and min_size < lower_bound(n):
             raise SquareError(
                 f"found a maximal square of size {min_size} below the proven "
-                f"bound {ceil(n * n / 3)}; this indicates a search bug"
+                f"bound {lower_bound(n)}; this indicates a search bug"
             )
     else:
         completed = level_num
@@ -474,10 +442,10 @@ def verify_bound_exhaustive(n: int, k: int = 2) -> ExhaustiveReport:
                     min_size = level
                 if level == min_size:
                     minimum_witnesses.append(
-                        _to_square(n, k, [table[i] for i in words_idx])
+                        KPartialSquare.from_words(n, k, [table[i] for i in words_idx])
                     )
 
-    bound = ceil(n * n / 3) if k == 2 else 1
+    bound = lower_bound(n) if k == 2 else 1
     all_ok = all(size >= bound for size in histogram) if k == 2 else True
     tight: bool | None = None
     if k == 2 and n % 3 == 0 and min_size == n * n // 3:

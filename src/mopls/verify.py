@@ -25,13 +25,8 @@ from dataclasses import dataclass
 from math import ceil
 
 from .construct import mopls_plan, mpls_plan
-from .core import Cell, KPartialSquare, SelfCheckError, SquareError
+from .core import Cell, KPartialSquare, SelfCheckError, SquareError, lower_bound
 from .maximality import is_maximal
-
-
-def lower_bound(n: int) -> int:
-    """Least possible fill of a maximal two-layer square of order n."""
-    return ceil(n * n / 3)
 
 
 def inequality_rhs(n: int, m: int, t: int) -> int:
@@ -245,7 +240,7 @@ def check_lemma2(
 # -- the fill inequality on concrete squares --------------------------------------
 
 
-def _family_name(coord: int, k: int) -> str:
+def _family_name(coord: int) -> str:
     if coord == 0:
         return "row"
     if coord == 1:
@@ -323,7 +318,7 @@ def verify_bound(square: KPartialSquare) -> BoundReport:
         n=n,
         filled=filled,
         min_frequency=m,
-        family=_family_name(fam, square.k),
+        family=_family_name(fam),
         index=idx,
         transversal=t,
         required=required,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,24 @@ def oracle_canonical_children(parent, candidates, n: int, k: int) -> list[bool]:
     first = (diff != 0).argmax(axis=2)
     smaller = np.take_along_axis(diff, first[..., None], axis=2)[..., 0] < 0
     return [not s for s in smaller.any(axis=0)]
+
+
+def complement_edges(graph) -> tuple[list, Counter, Counter]:
+    """A complement graph read back from ``to_edge_list`` and ``vertex_label``
+    alone: its edges as a list of ((group, vertex), (group, vertex)) pairs, the
+    edge count of each group pair (a, b), a < b, and the neighbour count of
+    each vertex (group, vertex) in each other group, keyed ((group, vertex), other)."""
+    where = {
+        graph.vertex_label(g, v): (g, v) for g in range(graph.groups) for v in range(graph.n)
+    }
+    edges = [(where[x], where[y]) for x, y in graph.to_edge_list()]
+    pair_edges: Counter = Counter()
+    neighbours: Counter = Counter()
+    for a, b in edges:
+        pair_edges[a[0], b[0]] += 1
+        neighbours[a, b[0]] += 1
+        neighbours[b, a[0]] += 1
+    return edges, pair_edges, neighbours
 
 
 def oracle_min_distance(words) -> int:

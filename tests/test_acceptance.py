@@ -8,17 +8,18 @@ criterion, or -s to see the measured times.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import ceil
 from random import Random
 from time import perf_counter
 
 import pytest
 
-from conftest import oracle_max_empty_transversal
+from conftest import complement_edges, oracle_max_empty_transversal
 from mopls.codes import check_code_equivalence, covering_radius, min_distance, to_code
 from mopls.construct import k_mopls_diagonal, k_ols, min_mopls, min_mpls
 from mopls.core import KPartialSquare
-from mopls.graphview import complement
+from mopls.graphview import complement, has_clique
 from mopls.maximality import candidate_tuples, is_maximal, maximalize
 from mopls.search import min_maximal, verify_bound_exhaustive
 from mopls.verify import (
@@ -62,7 +63,7 @@ def test_constructions_maximal_by_three_checkers(minimum_squares):
     start = perf_counter()
     for n, square in minimum_squares.items():
         direct = is_maximal(square)
-        clique_free = complement(square).is_clique_free()
+        clique_free = has_clique(complement(square)) is None
         report = check_code_equivalence(square)
         assert direct and clique_free
         assert report.maximal and report.consistent
@@ -183,6 +184,12 @@ def test_randomized_property_sweep():
         square = maximalize(KPartialSquare.empty(n, 2), policy="random", seed=seed)
         fill = square.filled_count
         graph = complement(square)
+        _, pair_edges, neighbours = complement_edges(graph)
+        degree = {
+            (group, v): sum(neighbours[(group, v), other] for other in range(4) if other != group)
+            for group in range(4)
+            for v in range(n)
+        }
         freq = square.frequencies()
         families = [freq.row_counts, freq.col_counts, *freq.layer_counts]
         bound_report = verify_bound(square)
@@ -190,17 +197,16 @@ def test_randomized_property_sweep():
             fill >= lower_bound(n),
             bound_report.ok,
             all(
-                value == Fraction(n * n - fill, n * n)
-                for value in graph.densities().values()
+                Fraction(pair_edges[pair], n * n) == Fraction(n * n - fill, n * n)
+                for pair in combinations(range(4), 2)
             ),
             all(
-                graph.degree(group, v) == 3 * (n - families[group][v])
-                and graph.degree(group, v) % 3 == 0
+                degree[group, v] == 3 * (n - families[group][v]) and degree[group, v] % 3 == 0
                 for group in range(4)
                 for v in range(n)
             ),
             is_maximal(square),
-            graph.is_clique_free(),
+            has_clique(graph) is None,
         ]
         if n > 3:
             report = check_code_equivalence(square)

@@ -236,6 +236,13 @@ def test_search_min_order_two(capsys):
     assert "min_size=2" in out and "exact=True" in out
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_search_min_non_positive_order_is_a_usage_error(n, capsys):
+    assert main(["search", "min", "--n", n]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_search_min_json_includes_witness(capsys):
     assert main(["search", "min", "--n", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

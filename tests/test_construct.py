@@ -146,9 +146,8 @@ def test_mopls_plan_sums_and_split(n):
     assert len(plan.block_orders) <= 3
 
 
-def test_plan_offsets():
+def test_plan_filled():
     plan = mopls_plan(22)
-    assert plan.offsets == (0, 7, 14)
     assert plan.filled == 7 * 7 + 7 * 7 + 8 * 8
 
 

@@ -94,12 +94,9 @@ def test_from_cells_rejects_invalid():
         KPartialSquare.from_cells(3, 2, {(0, 0): (0, 0), (0, 1): (0, 1)})
 
 
-def test_words_sorted_and_word_at():
+def test_words_sorted():
     sq = KPartialSquare.from_cells(3, 2, {(1, 0): (2, 1), (0, 1): (1, 2)})
     assert sq.words() == ((0, 1, 1, 2), (1, 0, 2, 1))
-    assert sq.word_at((0, 1)) == (0, 1, 1, 2)
-    with pytest.raises(SquareError):
-        sq.word_at((2, 2))
 
 
 def test_equality_and_hash():

@@ -7,58 +7,55 @@ from mopls import KPartialSquare, complement, has_clique, is_maximal
 from mopls.maximality import candidate_tuples
 from mopls.verify import lower_bound
 
-from conftest import partial_squares
+from conftest import complement_edges, partial_squares
 
 
 @given(partial_squares(max_n=5))
 def test_edges_match_definition(square):
-    graph = complement(square)
+    edges, _, _ = complement_edges(complement(square))
     words = square.words()
+    expected = []
     for a, b in combinations(range(square.k + 2), 2):
         used = {(w[a], w[b]) for w in words}
-        for x in range(square.n):
-            for y in range(square.n):
-                expected = (x, y) not in used
-                assert graph.has_edge((a, x), (b, y)) == expected
-                assert graph.has_edge((b, y), (a, x)) == expected
+        expected += [
+            ((a, x), (b, y)) for x in range(square.n) for y in range(square.n) if (x, y) not in used
+        ]
+    assert sorted(edges) == sorted(expected)
 
 
 @given(partial_squares(max_n=5))
 def test_same_group_never_adjacent(square):
-    graph = complement(square)
-    for g in range(square.k + 2):
-        assert not graph.has_edge((g, 0), (g, 0))
-        if square.n > 1:
-            assert not graph.has_edge((g, 0), (g, 1))
+    edges, _, _ = complement_edges(complement(square))
+    assert all(a[0] != b[0] for a, b in edges)
 
 
 @given(partial_squares(max_n=6))
 def test_density_identity(square):
-    graph = complement(square)
+    _, pair_edges, _ = complement_edges(complement(square))
     n, filled = square.n, square.filled_count
-    densities = graph.densities()
-    assert len(densities) == (square.k + 2) * (square.k + 1) // 2
-    for value in densities.values():
-        assert value * n * n == n * n - filled
+    pairs = list(combinations(range(square.k + 2), 2))
+    assert set(pair_edges) <= set(pairs)
+    for pair in pairs:
+        assert Fraction(pair_edges[pair], n * n) == 1 - Fraction(filled, n * n)
 
 
 @given(partial_squares(max_n=6))
 def test_degree_splits_evenly(square):
-    graph = complement(square)
+    _, _, neighbours = complement_edges(complement(square))
     prof = square.frequencies()
     counts = [prof.row_counts, prof.col_counts, *prof.layer_counts]
     for g in range(square.k + 2):
         for v in range(square.n):
             per_group = square.n - counts[g][v]
-            assert graph.degree(g, v) == (square.k + 1) * per_group
-            for other in range(square.k + 2):
-                if other != g:
-                    assert graph.adjacency(g, other, v).bit_count() == per_group
+            others = [other for other in range(square.k + 2) if other != g]
+            assert sum(neighbours[(g, v), other] for other in others) == (square.k + 1) * per_group
+            for other in others:
+                assert neighbours[(g, v), other] == per_group
 
 
 @given(partial_squares(max_n=5))
 def test_clique_free_iff_maximal(square):
-    assert complement(square).is_clique_free() == is_maximal(square)
+    assert (has_clique(complement(square)) is None) == is_maximal(square)
 
 
 @given(partial_squares(max_n=5))
@@ -71,17 +68,6 @@ def test_found_clique_reads_back_as_legal_insertion(square):
     cell = (vertices[0], vertices[1])
     entries = tuple(vertices[2:])
     assert entries in candidate_tuples(square, cell)
-
-
-def test_adjacency_reverse_direction_consistent():
-    square = KPartialSquare.from_cells(3, 2, {(0, 1): (2, 0), (1, 2): (0, 1)})
-    graph = complement(square)
-    for a, b in combinations(range(4), 2):
-        for x in range(3):
-            for y in range(3):
-                forward = bool((graph.adjacency(a, b, x) >> y) & 1)
-                backward = bool((graph.adjacency(b, a, y) >> x) & 1)
-                assert forward == backward
 
 
 def test_edge_list_and_dot_output():
@@ -108,14 +94,14 @@ def test_vertex_labels():
 
 def test_maximal_golden_graphs_are_clique_free(golden):
     for square in golden.values():
-        assert complement(square).is_clique_free()
+        assert has_clique(complement(square)) is None
 
 
 def test_has_clique_function_matches_the_method(golden):
     for square in golden.values():
         graph = complement(square)
         assert has_clique(graph) is None
-        assert graph.is_clique_free()
+        assert graph.find_clique() is None
     partial = complement(KPartialSquare.empty(2, 1))
     witness = has_clique(partial)
     assert witness == partial.find_clique()
@@ -128,5 +114,9 @@ def test_sparse_two_layer_squares_always_have_a_clique(square):
     # so an insertion, hence a clique, must exist
     assume(square.filled_count < lower_bound(square.n))
     graph = complement(square)
-    assert all(d > Fraction(2, 3) for d in graph.densities().values())
+    _, pair_edges, _ = complement_edges(graph)
+    n = square.n
+    assert all(
+        Fraction(pair_edges[a, b], n * n) > Fraction(2, 3) for a, b in combinations(range(4), 2)
+    )
     assert has_clique(graph) is not None
