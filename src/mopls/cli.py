@@ -15,10 +15,11 @@ file whole.
 Exit codes: 0 success; 1 a verification failed (or a built square or a
 printed certificate failed its own check); 2 usage error (including
 ``--n`` or ``--k`` above :data:`mopls.formats.MAX_ORDER` or
-:data:`mopls.formats.MAX_LAYERS`), or an output file that cannot be written;
-3 malformed input file or search checkpoint, including a missing
-checkpoint for ``--resume``; 4 parameters are infeasible (for example a
-minimum construction at an order whose blocks do not exist).
+:data:`mopls.formats.MAX_LAYERS`, and ``search min --n`` below 1), or an
+output file that cannot be written; 3 malformed input file or search
+checkpoint, including a missing checkpoint for ``--resume``; 4 parameters
+are infeasible (for example a minimum construction at an order whose
+blocks do not exist).
 """
 
 from __future__ import annotations

@@ -342,6 +342,7 @@ def min_maximal(
     exhausted the result reports the proven bound so far.  ``checkpoint``
     names a JSON file written at each completed level; with ``resume``
     the run restarts from the last completed level in that file.
+    Raises ValueError for n < 1.
     """
     table = _word_table(n, k)
     compat = _compat_masks(table)
@@ -425,6 +426,7 @@ def verify_bound_exhaustive(n: int, k: int = 2) -> ExhaustiveReport:
     fewer than ceil(n^2 / 3) cells (for k = 2) and reports whether the
     minimum-size squares have all frequencies equal to n / 3 (only
     decided when n is divisible by 3 and the minimum meets n^2 / 3).
+    Raises ValueError for n < 1.
     """
     table = _word_table(n, k)
     nodes = 0
