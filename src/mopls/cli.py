@@ -14,8 +14,8 @@ file whole.
 
 Exit codes: 0 success; 1 a verification failed (or a built square or a
 printed certificate failed its own check); 2 usage error (including
-``--n`` or ``--k`` above :data:`mopls.formats.MAX_ORDER` or
-:data:`mopls.formats.MAX_LAYERS`, and ``search min --n`` below 1), or an
+``--n`` or ``--k`` below 1 or above :data:`mopls.formats.MAX_ORDER` or
+:data:`mopls.formats.MAX_LAYERS` on ``construct`` and ``search``), or an
 output file that cannot be written; 3 malformed input file or search
 checkpoint, including a missing checkpoint for ``--resume``; 4 parameters
 are infeasible (for example a minimum construction at an order whose
@@ -130,6 +130,13 @@ def _write_square(ctx: RunContext, args: argparse.Namespace, square: KPartialSqu
             print(to_json(square), end="")
 
 
+def _check_positive(args: argparse.Namespace) -> None:
+    """Reject ``--n`` or ``--k`` below 1 as a usage error before anything is built."""
+    for flag in ("n", "k"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+
+
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
@@ -141,6 +148,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def cmd_construct(ctx: RunContext, args: argparse.Namespace) -> int:
+    _check_positive(args)
     kind = args.what
     if kind == "min-mopls":
         square = min_mopls(args.n)
@@ -182,7 +190,7 @@ def cmd_verify(ctx: RunContext, args: argparse.Namespace) -> int:
         if args.threads and args.threads > 1 and len(paths) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.threads) as pool:
+            with ProcessPoolExecutor(max_workers=min(args.threads, len(paths))) as pool:
                 results = list(pool.map(_verify_one_maximal, paths))
         else:
             results = [_verify_one_maximal(p) for p in paths]
@@ -199,48 +207,39 @@ def cmd_verify(ctx: RunContext, args: argparse.Namespace) -> int:
     square = ctx.read_square(args.files[0])
     if what == "bound":
         report = verify_bound(square)
-        _emit(args, report, [
+        lines = [
             f"filled={report.filled} min_frequency={report.min_frequency} "
             f"({report.family} {report.index}) transversal={report.transversal}",
             f"required>={report.required} lower_bound_hit={report.attains_lower_bound} "
             f"tight={report.tight} ok={report.ok}",
-        ])
-        return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
-    if what == "structure":
-        report = verify_min_structure(square)
+        ]
+    elif what in ("structure", "hr"):
+        report = (verify_min_structure if what == "structure" else verify_hr_structure)(square)
         lines = [f"ok={report.ok} block_orders={report.block_orders}"]
         if report.reason:
             lines.append(f"reason: {report.reason}")
         if report.note:
             lines.append(f"note: {report.note}")
-        _emit(args, report, lines)
-        return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
-    if what == "hr":
-        report = verify_hr_structure(square)
-        lines = [f"ok={report.ok} block_orders={report.block_orders}"]
-        if report.reason:
-            lines.append(f"reason: {report.reason}")
-        _emit(args, report, lines)
-        return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
-    if what == "lemma2":
+    else:  # lemma2; argparse restricts choices
         if args.rows is None or args.cols is None:
             print("verify lemma2 requires --rows and --cols", file=sys.stderr)
             return EXIT_USAGE
         rows = _parse_int_list(args.rows, "--rows")
         cols = _parse_int_list(args.cols, "--cols")
         report = check_lemma2(square, rows, cols)
-        _emit(args, report, [
+        lines = [
             f"d={report.d} t={report.t} residual_filled={report.residual_filled} "
             f"freq_ok={report.freq_ok} ok={report.ok}",
-        ])
-        return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
-    raise AssertionError(what)  # pragma: no cover
+        ]
+    _emit(args, report, lines)
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
 # -- search ----------------------------------------------------------------------
 
 
 def cmd_search(ctx: RunContext, args: argparse.Namespace) -> int:
+    _check_positive(args)
     result = min_maximal(
         args.n,
         args.k,
@@ -353,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("files", nargs="+", help="square file(s)")
     p_ver.add_argument("--rows", help="comma-separated region rows (lemma2)")
     p_ver.add_argument("--cols", help="comma-separated region cols (lemma2)")
-    p_ver.add_argument("--threads", type=int, help="parallel workers for maximal batches")
+    p_ver.add_argument("--threads", type=int, help="parallel workers for maximal batches, at most one per file")
     p_ver.add_argument("--json", action="store_true", help="machine-readable report")
     p_ver.set_defaults(func=cmd_verify)
 

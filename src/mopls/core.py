@@ -298,12 +298,11 @@ class KPartialSquare:
 
         Raises :class:`CellOccupiedError`, :class:`LatinConflictError` or
         :class:`OrthogonalityConflictError` when the insertion would break
-        an invariant.
+        an invariant, and :class:`SquareError` when the cell or an entry is
+        out of range or the tuple has the wrong length.
         """
         cell = (int(cell[0]), int(cell[1]))
         entries = tuple(int(e) for e in entries)
-        self._check_cell(cell)
-        self._check_entries(entries)
         if cell in self._cells:
             raise CellOccupiedError(f"cell {cell} is already filled")
         return KPartialSquare.from_cells(self.n, self.k, {**self._cells, cell: entries})
@@ -368,18 +367,6 @@ class KPartialSquare:
         return KPartialSquare(self.n, self.k, cells)
 
     # -- validation and accounting -------------------------------------
-
-    def _check_cell(self, cell: Cell) -> None:
-        r, c = cell
-        if not (0 <= r < self.n and 0 <= c < self.n):
-            raise SquareError(f"cell {cell} outside [0, {self.n}) x [0, {self.n})")
-
-    def _check_entries(self, entries: EntryTuple) -> None:
-        if len(entries) != self.k:
-            raise SquareError(f"entry tuple {entries} has length {len(entries)}, expected k={self.k}")
-        for e in entries:
-            if not (0 <= e < self.n):
-                raise SquareError(f"entry {e} outside symbol range [0, {self.n})")
 
     def validate(self) -> ValidationReport:
         """Check both invariants; report-valued, never raises."""

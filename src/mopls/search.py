@@ -452,10 +452,9 @@ def verify_bound_exhaustive(n: int, k: int = 2) -> ExhaustiveReport:
     tight: bool | None = None
     if k == 2 and n % 3 == 0 and min_size == n * n // 3:
         tight = all(
-            set(sq.frequencies().row_counts) == {n // 3}
-            and set(sq.frequencies().col_counts) == {n // 3}
-            and all(set(lc) == {n // 3} for lc in sq.frequencies().layer_counts)
-            for sq in minimum_witnesses
+            set(f.row_counts) == set(f.col_counts) == {n // 3}
+            and all(set(lc) == {n // 3} for lc in f.layer_counts)
+            for f in (sq.frequencies() for sq in minimum_witnesses)
         )
     return ExhaustiveReport(
         n=n,

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-from .construct import mopls_plan, mpls_plan
+from .construct import ConstructionPlan, mopls_plan, mpls_plan
 from .core import Cell, KPartialSquare, SelfCheckError, SquareError, lower_bound
 from .maximality import is_maximal
 
@@ -204,10 +204,9 @@ def check_lemma2(
     """
     report = max_empty_transversal(square, rows, cols)
     t, d = report.size, len(report.rows)
-    matched_rows = [r for r, _ in report.matching]
-    matched_cols = [c for _, c in report.matching]
-    row_order = tuple(matched_rows + [r for r in report.rows if r not in set(matched_rows)])
-    col_order = tuple(matched_cols + [c for c in report.cols if c not in set(matched_cols)])
+    # matched lines first, then the rest in region order
+    row_order = tuple(dict.fromkeys([*(r for r, _ in report.matching), *report.rows]))
+    col_order = tuple(dict.fromkeys([*(c for _, c in report.matching), *report.cols]))
     col_set = set(report.cols)
     row_set = set(report.rows)
     f_row = {
@@ -362,8 +361,7 @@ def _fail(square: KPartialSquare, reason: str, note: str | None = None) -> Struc
 
 def _recover_blocks(square: KPartialSquare) -> list[set[int]]:
     """Row classes under 'shares a symbol in some layer', via union-find."""
-    n = square.n
-    parent = list(range(n))
+    parent = list(range(square.n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -371,50 +369,52 @@ def _recover_blocks(square: KPartialSquare) -> list[set[int]]:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
     seen: dict[tuple[int, int], int] = {}
     for (r, _), entries in square.cells.items():
-        for j, e in enumerate(entries):
-            key = (j, e)
+        for key in enumerate(entries):
             if key in seen:
-                union(seen[key], r)
+                rx, ry = find(seen[key]), find(r)
+                if rx != ry:
+                    parent[rx] = ry
             else:
                 seen[key] = r
     groups: dict[int, set[int]] = {}
-    for r in range(n):
-        if any(square.is_filled((r, c)) for c in range(n)):
-            groups.setdefault(find(r), set()).add(r)
+    for r, _ in square.cells:
+        groups.setdefault(find(r), set()).add(r)
     return sorted(groups.values(), key=lambda g: (len(g), min(g)))
 
 
 def _verify_block_structure(
-    square: KPartialSquare, expected_orders: tuple[int, ...], note: str | None
+    square: KPartialSquare, plan: ConstructionPlan, note: str | None
 ) -> StructureReport:
+    """Check that the square is the plan's blocks, up to relabeling.
+
+    Rows that share a symbol share a class, so classes never overlap in
+    symbols; once each class of m rows touches m columns and the orders
+    match the plan (which sums to n), the columns overlap iff fewer than n
+    are touched.
+    """
     n, k = square.n, square.k
-    blocks = _recover_blocks(square)
-    if len(blocks) != len(expected_orders):
+    if square.filled_count != plan.filled:
+        return _fail(square, f"filled={square.filled_count}, minimum squares have {plan.filled}", note)
+    row_sets = _recover_blocks(square)
+    if len(row_sets) != len(plan.block_orders):
         return _fail(
             square,
-            f"expected {len(expected_orders)} blocks, found {len(blocks)} row classes",
+            f"expected {len(plan.block_orders)} blocks, found {len(row_sets)} row classes",
             note,
         )
-    row_sets = blocks
-    col_sets: list[set[int]] = []
-    sym_sets: list[list[set[int]]] = []  # per block, per layer
-    for rows in row_sets:
-        cols: set[int] = set()
-        syms: list[set[int]] = [set() for _ in range(k)]
-        count = 0
-        for (r, c), entries in square.cells.items():
-            if r in rows:
-                cols.add(c)
-                count += 1
-                for j, e in enumerate(entries):
-                    syms[j].add(e)
+    block_of = {r: b for b, rows in enumerate(row_sets) for r in rows}
+    col_sets: list[set[int]] = [set() for _ in row_sets]
+    sym_sets = [[set() for _ in range(k)] for _ in row_sets]  # per block, per layer
+    counts = [0] * len(row_sets)
+    for (r, c), entries in square.cells.items():
+        b = block_of[r]
+        col_sets[b].add(c)
+        counts[b] += 1
+        for syms, e in zip(sym_sets[b], entries):
+            syms.add(e)
+    for rows, cols, syms, count in zip(row_sets, col_sets, sym_sets, counts):
         m = len(rows)
         if len(cols) != m or any(len(s) != m for s in syms):
             return _fail(
@@ -429,32 +429,20 @@ def _verify_block_structure(
                 f"block with rows {sorted(rows)} has {count} filled cells, expected {m * m}",
                 note,
             )
-        col_sets.append(cols)
-        sym_sets.append(syms)
     orders = tuple(len(rows) for rows in row_sets)
-    if sorted(orders) != sorted(expected_orders):
-        return _fail(square, f"block orders {orders} do not match expected {expected_orders}", note)
-    if sum(orders) != n:
-        return _fail(square, f"block orders {orders} do not cover all {n} rows", note)
-    for family_sets in (col_sets, *[[s[j] for s in sym_sets] for j in range(k)]):
-        combined: set[int] = set()
-        for s in family_sets:
-            if combined & s:
-                return _fail(square, "blocks overlap in columns or symbols", note)
-            combined |= s
+    if sorted(orders) != sorted(plan.block_orders):
+        return _fail(square, f"block orders {orders} do not match expected {plan.block_orders}", note)
+    if len(set().union(*col_sets)) != n:
+        return _fail(square, "blocks overlap in columns or symbols", note)
     # build canonical relabeling: ascending blocks onto consecutive ranges
     row_perm = [0] * n
     col_perm = [0] * n
     layer_perms = [[0] * n for _ in range(k)]
     offset = 0
-    for b, rows in enumerate(row_sets):
-        for pos, r in enumerate(sorted(rows)):
-            row_perm[r] = offset + pos
-        for pos, c in enumerate(sorted(col_sets[b])):
-            col_perm[c] = offset + pos
-        for j in range(k):
-            for pos, s in enumerate(sorted(sym_sets[b][j])):
-                layer_perms[j][s] = offset + pos
+    for rows, cols, syms in zip(row_sets, col_sets, sym_sets):
+        for perm, labels in ((row_perm, rows), (col_perm, cols), *zip(layer_perms, syms)):
+            for pos, x in enumerate(sorted(labels)):
+                perm[x] = offset + pos
         offset += len(rows)
     canonical = square.relabel(row_perm, col_perm, [tuple(p) for p in layer_perms])
     # exhaustive recheck in canonical coordinates
@@ -489,10 +477,7 @@ def verify_hr_structure(square: KPartialSquare) -> StructureReport:
     """
     if square.k != 1:
         raise SquareError(f"this structure check applies to one layer, got k={square.k}")
-    plan = mpls_plan(square.n)
-    if square.filled_count != plan.filled:
-        return _fail(square, f"filled={square.filled_count}, minimum squares have {plan.filled}")
-    return _verify_block_structure(square, plan.block_orders, note=None)
+    return _verify_block_structure(square, mpls_plan(square.n), note=None)
 
 
 def verify_min_structure(square: KPartialSquare) -> StructureReport:
@@ -511,7 +496,4 @@ def verify_min_structure(square: KPartialSquare) -> StructureReport:
     note = None if n >= 21 else (
         f"n={n} < 21: minimality of fill ceil(n^2/3) is not guaranteed at this order"
     )
-    plan = mopls_plan(n)
-    if square.filled_count != plan.filled:
-        return _fail(square, f"filled={square.filled_count}, minimum squares have {plan.filled}", note)
-    return _verify_block_structure(square, plan.block_orders, note)
+    return _verify_block_structure(square, mopls_plan(n), note)

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA, write_half_then_fail
-from mopls import construct, verify
+from mopls import cli, construct, verify
 from mopls.cli import build_parser, main
 from mopls.construct import min_mopls, min_mpls, k_ols
+from mopls.core import KPartialSquare
 from mopls.formats import MAX_LAYERS, MAX_ORDER, from_text_grid, load_square, save_square, to_json
 from mopls.maximality import is_maximal
 
@@ -145,6 +146,33 @@ def test_verify_maximal_batch_with_threads(square_file, tmp_path, capsys):
     assert out.count(": maximal (") == 2
 
 
+def test_verify_maximal_caps_workers_at_the_file_count(square_file, tmp_path, monkeypatch, capsys):
+    # a fake pool that records its size and maps serially: no worker is started
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    other = tmp_path / "six.txt"
+    save_square(min_mpls(6), other)
+    assert main(["verify", "maximal", str(square_file), str(other), "--threads", "100000"]) == 0
+    assert sizes == [2]
+    assert capsys.readouterr().out.count(": maximal (") == 2
+
+
 def test_verify_maximal_batch_reports_every_file(square_file, tmp_path, capsys):
     broken = tmp_path / "bad.txt"
     broken.write_text("not a grid\n")
@@ -208,6 +236,29 @@ def test_verify_hr_rejects_two_layer_input(square_file, capsys):
     assert main(["verify", "hr", str(square_file)]) == 1
 
 
+@pytest.mark.parametrize("what, square, status, expected", [
+    ("structure", min_mopls(9), 0,
+     "ok=True block_orders=(3, 3, 3)\n"
+     "note: n=9 < 21: minimality of fill ceil(n^2/3) is not guaranteed at this order\n"),
+    ("structure", min_mopls(21), 0, "ok=True block_orders=(7, 7, 7)\n"),
+    ("structure", KPartialSquare.from_cells(3, 2, {(0, 0): (0, 0), (1, 0): (1, 1), (2, 2): (2, 2)}), 1,
+     "ok=False block_orders=None\n"
+     "reason: blocks overlap in columns or symbols\n"
+     "note: n=3 < 21: minimality of fill ceil(n^2/3) is not guaranteed at this order\n"),
+    ("hr", min_mpls(7), 0, "ok=True block_orders=(3, 4)\n"),
+    ("hr", KPartialSquare.from_cells(2, 1, {(0, 0): (1,), (1, 1): (1,)}), 1,
+     "ok=False block_orders=None\n"
+     "reason: expected 2 blocks, found 1 row classes\n"),
+], ids=["structure-small-order", "structure-ok", "structure-overlap", "hr-ok", "hr-block-count"])
+def test_verify_structure_and_hr_output_is_pinned(what, square, status, expected, tmp_path, capsys):
+    path = tmp_path / "square.json"
+    save_square(square, path)
+    assert main(["verify", what, str(path)]) == status
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+
+
 def test_verify_lemma2_region(square_file, capsys):
     code = main([
         "verify", "lemma2", str(square_file),
@@ -241,6 +292,28 @@ def test_search_min_non_positive_order_is_a_usage_error(n, capsys):
     assert main(["search", "min", "--n", n]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "maximal", "--n", "0"],
+    ["construct", "maximal", "--n", "3", "--k", "0"],
+    ["search", "min", "--n", "2", "--k", "0"],
+    ["construct", "min-mopls", "--n", "-3"],
+    ["construct", "k-ols", "--n", "0"],
+    ["construct", "min-mpls", "--n", "0"],
+], ids=["maximal-n", "maximal-k", "search-k", "min-mopls-n", "k-ols-n", "min-mpls-n"])
+def test_non_positive_order_or_layer_count_is_a_usage_error(argv, monkeypatch, capsys):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("built something for a non-positive --n or --k")
+
+    for name in ("min_mopls", "min_mpls", "k_ols", "k_mopls_diagonal", "maximalize", "min_maximal"):
+        monkeypatch.setattr(cli, name, must_not_build)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    flag = "--k" if "--k" in argv else "--n"
+    value = argv[argv.index(flag) + 1]
+    assert captured.err == f"error: {flag} must be at least 1, got {value}\n"
+    assert captured.out == ""
 
 
 def test_search_min_json_includes_witness(capsys):

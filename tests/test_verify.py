@@ -402,3 +402,67 @@ def test_min_structure_rejects_wrong_fill():
 def test_min_structure_requires_two_layers():
     with pytest.raises(SquareError):
         verify_min_structure(min_mpls(6))
+
+
+# -- every reachable structure failure, pinned to its exact reason ------------------
+
+
+def _orders_one_one_five():
+    # blocks of orders 1, 1 and 5 on seven of the nine rows: F = 27 = ceil(81 / 3)
+    cells = {(0, 0): (0, 0), (1, 1): (1, 1)}
+    for (r, c), entries in k_ols(2, 5).cells.items():
+        cells[(r + 2, c + 2)] = tuple(e + 2 for e in entries)
+    return KPartialSquare.from_cells(9, 2, cells)
+
+
+STRUCTURE_FAILURES = {
+    "fill-hr": (
+        verify_hr_structure, k_ols(1, 2),
+        "filled=4, minimum squares have 2",
+    ),
+    "fill-min": (
+        verify_min_structure, k_ols(2, 3),
+        "filled=9, minimum squares have 3",
+    ),
+    "block-count": (
+        verify_hr_structure, KPartialSquare.from_cells(2, 1, {(0, 0): (1,), (1, 1): (1,)}),
+        "expected 2 blocks, found 1 row classes",
+    ),
+    "block-touches": (
+        verify_hr_structure,
+        KPartialSquare.from_cells(
+            3, 1, {(0, 0): (0,), (0, 1): (2,), (1, 0): (2,), (1, 2): (0,), (2, 0): (1,)}
+        ),
+        "block with rows [0, 1] touches 3 cols and [2] symbols per layer, expected 2 each",
+    ),
+    "block-cell-count": (
+        verify_hr_structure,
+        KPartialSquare.from_cells(4, 1, {
+            (0, 0): (3,), (0, 1): (0,), (0, 2): (1,), (1, 0): (2,),
+            (2, 0): (0,), (2, 2): (3,), (3, 1): (1,), (3, 2): (0,),
+        }),
+        "block with rows [0, 2, 3] has 7 filled cells, expected 9",
+    ),
+    "orders": (
+        verify_min_structure, _orders_one_one_five(),
+        "block orders (1, 1, 5) do not match expected (3, 3, 3)",
+    ),
+    "column-overlap": (
+        verify_min_structure,
+        KPartialSquare.from_cells(3, 2, {(0, 0): (0, 0), (1, 0): (1, 1), (2, 2): (2, 2)}),
+        "blocks overlap in columns or symbols",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(STRUCTURE_FAILURES), ids=list(STRUCTURE_FAILURES))
+def test_structure_failure_reasons_are_pinned(case):
+    verifier, square, reason = STRUCTURE_FAILURES[case]
+    report = verifier(square)
+    assert not report.ok
+    assert report.reason == reason
+    small_order_note = f"n={square.n} < 21: minimality of fill ceil(n^2/3) is not guaranteed at this order"
+    assert report.note == (small_order_note if verifier is verify_min_structure else None)
+    assert report.n == square.n and report.k == square.k
+    assert report.block_orders is report.row_perm is report.col_perm is None
+    assert report.layer_perms is report.canonical is None
