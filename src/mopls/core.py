@@ -299,10 +299,9 @@ class KPartialSquare:
         Raises :class:`CellOccupiedError`, :class:`LatinConflictError` or
         :class:`OrthogonalityConflictError` when the insertion would break
         an invariant, and :class:`SquareError` when the cell or an entry is
-        out of range or the tuple has the wrong length.
+        out of range, not an integer, or the tuple has the wrong length.
         """
-        cell = (int(cell[0]), int(cell[1]))
-        entries = tuple(int(e) for e in entries)
+        cell = _as_tuple(cell)
         if cell in self._cells:
             raise CellOccupiedError(f"cell {cell} is already filled")
         return KPartialSquare.from_cells(self.n, self.k, {**self._cells, cell: entries})

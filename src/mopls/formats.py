@@ -59,7 +59,8 @@ def _symbol_to_digit(v: int) -> str:
 
 
 def _digit_to_symbol(ch: str, n: int) -> int:
-    v = DIGITS.find(ch.upper())
+    # str.upper maps some non-ASCII letters onto digits: "\u017f" to "S", "\ufb06" to "ST"
+    v = DIGITS.find(ch.upper()) if ch.isascii() else -1
     if v < 1 or v > n:
         raise ParseError(f"digit {ch!r} is not a symbol in 1..{n}")
     return v - 1
@@ -148,7 +149,7 @@ def to_json(square: KPartialSquare) -> str:
 def from_json(text: str) -> KPartialSquare:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != JSON_FORMAT:
         raise ParseError(f"not a {JSON_FORMAT} document")
@@ -158,7 +159,7 @@ def from_json(text: str) -> KPartialSquare:
         n = int(doc["n"])
         k = int(doc["k"])
         raw_cells = doc["cells"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
         raise ParseError(f"missing or malformed field: {exc}") from exc
     if n > MAX_ORDER:
         raise ParseError(f"order n={n} exceeds the supported maximum {MAX_ORDER}")
@@ -171,7 +172,7 @@ def from_json(text: str) -> KPartialSquare:
         try:
             cell = (int(item["row"]), int(item["col"]))
             entries = tuple(int(e) for e in item["entries"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed cell record {item!r}: {exc}") from exc
         if cell in cells:
             raise ParseError(f"duplicate cell {cell}")
@@ -226,5 +227,5 @@ def read_json(path: Path, what: str) -> Any:
     """The JSON value in the file at ``path``; ``what`` names the file in errors."""
     try:
         return json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{what} {path} is not readable JSON: {exc}") from exc

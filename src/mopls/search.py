@@ -26,21 +26,24 @@ list, one coordinate at a time: an image below it proves a smaller list
 exists and ends the scan, an image above it drops the word, and each
 word whose image equals it is committed in turn, one position deeper.
 
-Both searches ask about every child C of a canonical parent P in turn,
-and C's scan would repeat P's.  So ``is_canonical`` decides C from the scan
-of its prefix P = sorted(C)[:-1] and its one new word w.  C can be
-canonical only if P is.  When P is canonical its scan finds nothing
-smaller, so it visits every tie node (depth, labels, remaining words);
-these nodes, in depth-first order, form P's tie tree.  Every branch of
-C's scan either passes through a tie node of P, where w may be the word
-whose least image falls below the list, or commits w at some depth.  So
-C is canonical exactly when w passes the cut against P's labels, w's
-least image at no tie node falls below the list's word at that depth (at
-a leaf, where P maps onto itself, below w itself), and the scan finishes
-without a smaller list from each tie node where w's image equals that
-word.  P's tie tree is built once and kept in a single-entry cache keyed
-by P, an immutable tuple replaced whole, so every child of P after the
-first reuses it and the cache never holds more than one tree.
+The search driver asks about every child C of a canonical parent P in
+turn, and C's scan would repeat P's.  So C is decided from the scan of P
+and its one new word w, the largest.  C can be canonical only if P is.
+When P is canonical its scan finds nothing smaller, so it visits every
+tie node (depth, labels, remaining words); these nodes, in depth-first
+order, form P's tie tree.  Every branch of C's scan either passes through
+a tie node of P, where w may be the word whose least image falls below the
+list, or commits w at some depth.  So C is canonical exactly when w passes
+the cut against P's labels, w's least image at no tie node falls below
+the list's word at that depth (at a leaf, where P maps onto itself, below
+w itself), and the scan finishes without a smaller list from each tie node
+where w's image equals that word.  The driver builds each parent's tie
+tree once, as a local, before its first child, and passes it to
+``is_canonical`` with each child; it skips the scan of a parent with no
+candidate word.  The (family, slot) pairs the scans index labels by are
+computed once per word table, with the table's order as the slot width.
+``is_canonical`` called without a tree sorts the list and builds its
+prefix's tree itself.
 """
 
 from __future__ import annotations
@@ -139,16 +142,27 @@ def _smaller_exists(i: int, left: list[int], target: Sequence[Word],
     return False
 
 
-def _prefix_scan(prefix: "tuple[Word, ...]"):
-    """The exact scan of a non-empty sorted list, kept to decide its children.
+def _word_slots(words: "Sequence[Word]", order: int) -> dict:
+    """The (family, slot) pairs of each word, slot ``p * order + x`` for value
+    x of family p; ``order`` must exceed every value the scans look up."""
+    return {w: tuple((p, p * order + x) for p, x in enumerate(w)) for w in words}
 
-    None when the list fails the first-appearance cut or is not canonical.
-    Otherwise (nodes, pairs, nxt, n): the tie tree, every node the scan
+
+def _tie_tree(prefix: "Sequence[Word]", order: int, slots: dict):
+    """The exact scan of a sorted list, kept to decide its children.
+
+    ``slots`` is ``_word_slots(..., order)`` of a word set that holds the
+    list and every new word to be tried after it; the searches build it
+    once per word table, with the table's order as the slot width.  None
+    when the list fails the first-appearance cut or is not canonical.
+    Otherwise (nodes, pairs, nxt, slots): the tie tree, every node the scan
     visits in depth-first order as (depth, label table, nxt, remaining
     words); the (family, slot) pairs of each word; each family's next
-    unused label; and the slot width n, which leaves room for one more
-    value in every family, so that it does not depend on the child.
+    unused label; and ``slots``.  The empty list's tree is empty: a
+    one-word list is decided by the cut alone.
     """
+    if not prefix:
+        return (), (), (), slots
     width = len(prefix[0])
     nxt = [0] * width  # the first-appearance cut
     for w in prefix:
@@ -157,43 +171,43 @@ def _prefix_scan(prefix: "tuple[Word, ...]"):
                 return None
             if x == nxt[p]:
                 nxt[p] += 1
-    n = 1 + max(nxt)
-    pairs = tuple(tuple((p, p * n + x) for p, x in enumerate(w)) for w in prefix)
+    pairs = tuple(slots[w] for w in prefix)
     nodes: list = []
-    if _smaller_exists(0, list(range(len(prefix))), prefix, pairs, [-1] * (width * n), [0] * width, nodes):
+    if _smaller_exists(0, list(range(len(prefix))), prefix, pairs, [-1] * (width * order), [0] * width, nodes):
         return None
-    return tuple(nodes), pairs, tuple(nxt), n
+    return tuple(nodes), pairs, tuple(nxt), slots
 
 
-# (prefix, _prefix_scan(prefix)) for the last prefix seen: the searches decide
-# a parent's children one after another, so all but the first reuse it.
-# Replaced whole, never mutated, so it holds one tie tree at most.
-_last_scan: tuple = ((), None)
+def is_canonical(words: "Sequence[Word]", tree: tuple | None = None) -> bool:
+    """True when no relabeling yields a strictly smaller sorted word list.
 
-
-def is_canonical(words: "tuple[Word, ...] | list[Word]") -> bool:
-    """True when no relabeling yields a strictly smaller sorted word list."""
-    global _last_scan
-    target = sorted(words)
-    if len(target) < 2:
-        return not target or not any(target[0])  # the cut leaves one word 0...0
-    prefix = tuple(target[:-1])
-    key, scan = _last_scan
-    if key != prefix:
-        scan = _prefix_scan(prefix)
-        _last_scan = (prefix, scan)
-    if scan is None:
-        return False  # a canonical list keeps a canonical prefix
-    nodes, pairs, nxt, n = scan
-    w = target[-1]  # the one new word
+    ``tree``, when given, is ``_tie_tree`` of ``words[:-1]`` for a sorted
+    list ``words`` whose last word is above the others; the searches pass
+    each parent's tree to decide its children from their one new word.
+    Without it the list is sorted and its prefix's tree built here.
+    """
+    if tree is None:
+        words = sorted(map(tuple, words))
+        if len(words) < 2:
+            return not words or not any(words[0])  # the cut leaves one word 0...0
+        prefix = words[:-1]
+        # room for one value above the prefix's: a larger one fails the cut
+        order = 2 + max(map(max, prefix))
+        tree = _tie_tree(prefix, order, _word_slots(words, order))
+        if tree is None:
+            return False  # a canonical list keeps a canonical prefix
+    elif len(words) < 2:
+        return not any(words[0])
+    nodes, pairs, nxt, slots = tree
+    w = words[-1]  # the one new word
     for x, c in zip(w, nxt):
         if x > c:
             return False  # the first-appearance cut
-    wp = tuple((p, p * n + x) for p, x in enumerate(w))
-    size = len(prefix)
+    wp = slots[w]
+    size = len(pairs)
     branches = []
     for i, lab, used, left in nodes:
-        goal = target[i]
+        goal = words[i]
         for p, s in wp:
             v = lab[s]
             if v < 0:
@@ -215,7 +229,7 @@ def is_canonical(words: "tuple[Word, ...] | list[Word]") -> bool:
                 if lab[s] < 0:
                     lab[s] = used[p]
                     used[p] += 1
-            if _smaller_exists(i + 1, left, target, pairs, lab, used):
+            if _smaller_exists(i + 1, left, words, pairs, lab, used):
                 return False
     return True
 
@@ -261,6 +275,8 @@ def _levels(table: list[Word], compat: list[int], level: int = 0,
     """
     if queue is None:
         queue = [((), (1 << len(table)) - 1)]
+    order = 1 + table[-1][0]  # the last word is (n-1, ..., n-1)
+    slots = _word_slots(table, order)
     spent = 0
     while True:
         yield level, queue
@@ -269,13 +285,18 @@ def _levels(table: list[Word], compat: list[int], level: int = 0,
         next_queue = []
         for words_idx, mask in queue:
             floor = words_idx[-1] if words_idx else -1
+            if not mask >> (floor + 1):
+                continue  # no candidate, so no scan
+            words = [table[i] for i in words_idx]
+            tree = _tie_tree(words, order, slots)
+            if tree is None:
+                continue  # a non-canonical parent, only ever read from a checkpoint
             for w in bits_above(mask, floor):
-                child = words_idx + (w,)
-                if is_canonical([table[i] for i in child]):
+                if is_canonical(words + [table[w]], tree):
                     if budget is not None and spent >= budget:
                         raise _Budget
                     spent += 1
-                    next_queue.append((child, mask & compat[w]))
+                    next_queue.append((words_idx + (w,), mask & compat[w]))
         level += 1
         queue = next_queue
 

@@ -61,6 +61,19 @@ def test_insert_out_of_range():
         sq.insert((0, 0), (0,))
 
 
+@pytest.mark.parametrize(
+    "cell, entries",
+    [((1.7, 0.2), (2.9, 0)), ((1, 0), (2.0, 0)), (("1", 0), (0, 0)), ((1, 0), ("2", 0))],
+    ids=["float-cell", "float-entry", "str-cell", "str-entry"],
+)
+def test_insert_rejects_non_integer_cells_and_entries(cell, entries):
+    """Nothing is truncated or parsed: the value reaches validation as given."""
+    with pytest.raises(SquareError, match="out of range"):
+        KPartialSquare.empty(3, 2).insert(cell, entries)
+    with pytest.raises(SquareError, match="out of range"):
+        KPartialSquare.from_cells(3, 2, {cell: entries})
+
+
 def test_insert_latin_conflicts_classified():
     sq = KPartialSquare.empty(3, 2).insert((0, 0), (0, 0))
     with pytest.raises(LatinConflictError):

@@ -2,7 +2,8 @@ import json
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mopls import (
     KPartialSquare,
@@ -73,6 +74,14 @@ def test_text_rejects_symbol_out_of_range():
         from_text_grid("1 4\n- -\n")  # 4 exceeds order 2
     with pytest.raises(ParseError):
         from_text_grid("0 1\n- -\n")  # symbols are 1-based
+
+
+@pytest.mark.parametrize("letter", ["\u017f", "\ufb06"], ids=["long-s", "st-ligature"])
+def test_text_rejects_letters_that_upper_case_to_a_digit(letter):
+    rows = [["-"] * 28 for _ in range(28)]  # order 28 has the symbol S
+    rows[0][0] = letter
+    with pytest.raises(ParseError, match="is not a symbol"):
+        from_text_grid("\n".join(map(" ".join, rows)), k=1)
 
 
 def test_text_rejects_k_mismatch():
@@ -206,3 +215,55 @@ def test_save_square_round_trips_and_rejects_unknown_formats(tmp_path):
     with pytest.raises(ValueError):
         save_square(square, tmp_path / "other", fmt="yaml")
     assert [p.name for p in tmp_path.iterdir()] == ["square"]
+
+
+# -- fuzzing: any input ends in ParseError or a square, never another exception ------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# kpls-shaped documents whose fields hold arbitrary JSON, to get past the format check
+square_documents = st.fixed_dictionaries({
+    "format": st.just("kpls") | json_values,
+    "version": st.just(1) | json_values,
+    "n": json_values,
+    "k": json_values,
+    "cells": json_values | st.lists(
+        st.fixed_dictionaries({"row": json_values, "col": json_values, "entries": json_values}), max_size=4
+    ),
+}).map(json.dumps)
+grid_texts = st.text(alphabet="-0129AZaz\u017f\ufb06 \t\n\r\x85\u2028", max_size=40)
+deeply_nested = '{"n": ' + "[" * 100_000
+
+
+def _parses_or_raises_parse_error(parse, *args):
+    try:
+        parse(*args)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=300)
+@given(st.text() | square_documents)
+@example('{"format": "kpls", "version": 1, "n": Infinity, "k": 2, "cells": []}')
+@example('{"format": "kpls", "version": 1, "n": 2, "k": 2, "cells": [{"row": 1e400, "col": 0, "entries": [0, 0]}]}')
+@example(deeply_nested)
+def test_from_json_raises_only_parse_errors(text):
+    _parses_or_raises_parse_error(from_json, text)
+
+
+@settings(max_examples=300)
+@given(st.text() | grid_texts, st.sampled_from([None, 2]))
+def test_from_text_grid_raises_only_parse_errors(text, k):
+    _parses_or_raises_parse_error(from_text_grid, text, k)
+
+
+@settings(max_examples=300)
+@given(st.binary() | grid_texts.map(str.encode) | square_documents.map(str.encode))
+@example(deeply_nested.encode())
+def test_load_square_raises_only_parse_errors(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "square"
+    path.write_bytes(data)
+    _parses_or_raises_parse_error(load_square, path)

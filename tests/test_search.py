@@ -16,7 +16,7 @@ from conftest import (
     write_half_then_fail,
 )
 from mopls import search
-from mopls.core import KPartialSquare
+from mopls.core import KPartialSquare, bits_above
 from mopls.formats import ParseError
 from mopls.maximality import is_maximal
 from mopls.search import is_canonical, min_maximal, verify_bound_exhaustive
@@ -95,6 +95,61 @@ def test_children_match_the_oracle_across_cache_hits_and_misses(n, k, levels):
             for child in children[:2]:
                 assert is_canonical([table[i] for i in child]) == expected[child], child
             del children[:2]
+
+
+def _oracle_children(table, compat, queue, n, k):
+    """The compatible children above each parent's last word that the
+    brute-force oracle keeps, as the next level's queue in enumeration order."""
+    children = []
+    for ix, mask in queue:
+        above = list(bits_above(mask, ix[-1] if ix else -1))
+        if above:
+            verdicts = oracle_canonical_children([table[i] for i in ix], [table[w] for w in above], n, k)
+            children += [(ix + (w,), mask & compat[w]) for w, keep in zip(above, verdicts) if keep]
+    return children
+
+
+@pytest.mark.parametrize("n, k, levels", [(2, 1, None), (2, 2, None), (3, 1, None), (3, 2, None), (4, 1, 3)])
+def test_levels_hold_the_oracle_children_of_the_level_before(n, k, levels):
+    """The driver decides each child with its parent's tie tree, so every level
+    it yields checks the trees it passed, not only ``is_canonical`` alone."""
+    table = search._word_table(n, k)
+    compat = search._compat_masks(table)
+    before = None
+    for level, queue in search._levels(table, compat):
+        if before is not None:
+            assert queue == _oracle_children(table, compat, before, n, k), level
+        if level == levels:
+            break
+        before = queue
+
+
+# a relabeling lowers this list, which passes the first-appearance cut
+NON_CANONICAL_PREFIX = [(0, 0, 0, 0), (0, 1, 1, 1), (1, 1, 2, 2)]
+
+
+@pytest.mark.parametrize("bad_first", [True, False], ids=["non-canonical-first", "canonical-first"])
+def test_resume_grows_only_the_canonical_lists_of_a_checkpoint(tmp_path, bad_first):
+    table = search._word_table(3, 2)
+    compat = search._compat_masks(table)
+    good = [(0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 1, 2)]
+    assert oracle_canonical_form(good, 3, 2) == tuple(good)
+    assert oracle_canonical_form(NON_CANONICAL_PREFIX, 3, 2) < tuple(NON_CANONICAL_PREFIX)
+    lists = [tuple(table.index(w) for w in words) for words in (NON_CANONICAL_PREFIX, good)]
+    if not bad_first:
+        lists.reverse()
+    cp = tmp_path / "level.json"
+    cp.write_text(json.dumps({"version": 1, "n": 3, "k": 2, "level": 3, "nodes": 0, "queue": lists}))
+    masks = dict(search._load_checkpoint(cp, 3, 2, compat)[1])
+    bad_ix, good_ix = lists if bad_first else lists[::-1]
+    assert list(bits_above(masks[bad_ix], bad_ix[-1]))  # it has children to reject
+    expected = _oracle_children(table, compat, [(good_ix, masks[good_ix])], 3, 2)
+    assert expected
+    # the budget admits level 4 whole, so the checkpoint keeps it
+    result = min_maximal(3, budget=len(expected), checkpoint=cp, resume=True)
+    doc = json.loads(cp.read_text())
+    assert doc["level"] == 4 and result.nodes == len(expected)
+    assert doc["queue"] == [list(ix) for ix, _ in expected]
 
 
 def test_child_of_a_non_canonical_prefix_is_not_canonical():
@@ -229,6 +284,13 @@ def test_resume_rejects_mismatched_checkpoint(tmp_path):
     min_maximal(3, budget=4, checkpoint=cp)
     with pytest.raises(ParseError):
         min_maximal(2, checkpoint=cp, resume=True)
+
+
+def test_resume_rejects_a_too_deeply_nested_checkpoint(tmp_path):
+    cp = tmp_path / "level.json"
+    cp.write_text("[" * 100_000)
+    with pytest.raises(ParseError, match="not readable JSON"):
+        min_maximal(3, checkpoint=cp, resume=True)
 
 
 def test_resume_rejects_unknown_checkpoint_version(tmp_path):
