@@ -72,10 +72,11 @@ def covering_radius(code: Code) -> int:
     """Greatest distance from any word of the full space to the code.
 
     Exhaustive over all alphabet_size ** length words, computed as a
-    Hamming distance transform: starting from 0 at codewords, repeatedly
-    relax each coordinate axis (one substitution costs 1) until no cell
-    improves.  One ascending pass already reaches the fixpoint because
-    substitutions can be applied in axis order; extra passes just verify.
+    Hamming distance transform: starting from 0 at codewords, relax each
+    coordinate axis once, in ascending order (one substitution costs 1).
+    After the axes 0..j the entry of a word is its least distance, counted
+    on those axes, to a codeword that agrees with it on all later axes, so
+    one pass ends at the exact distances.
     """
     if not code.words:
         raise ValueError("covering radius of an empty code is undefined")
@@ -85,22 +86,12 @@ def covering_radius(code: Code) -> int:
         raise ValueError(
             f"word space {n}^{length} = {space} exceeds the scan limit {WORD_SPACE_LIMIT}"
         )
-    unreached = length + 1  # larger than any true distance
-    dist = np.full((n,) * length, unreached, dtype=np.int16)
+    # no distance exceeds length, which numpy caps at 64 axes: int8 holds them
+    dist = np.full((n,) * length, length, dtype=np.int8)
     index = tuple(np.fromiter((w[p] for w in code.words), dtype=np.int64) for p in range(length))
     dist[index] = 0
-    for _ in range(length + 1):
-        changed = False
-        for axis in range(length):
-            relaxed = dist.min(axis=axis, keepdims=True) + np.int16(1)
-            improved = relaxed < dist
-            if improved.any():
-                changed = True
-                dist = np.where(improved, np.broadcast_to(relaxed, dist.shape), dist)
-        if not changed:
-            break
-    else:
-        raise AssertionError("distance transform failed to converge")
+    for axis in range(length):
+        np.minimum(dist, dist.min(axis=axis, keepdims=True) + 1, out=dist)
     return int(dist.max())
 
 

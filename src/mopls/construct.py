@@ -81,27 +81,19 @@ def _poly_mod(u: tuple[int, ...], d: tuple[int, ...], p: int) -> tuple[int, ...]
     return tuple(x % p for x in u[:deg_d])
 
 
+def _digits(x: int, p: int, count: int) -> tuple[int, ...]:
+    """The ``count`` lowest base-p digits of x, least significant first."""
+    return tuple(x // p**i % p for i in range(count))
+
+
 def _monic_polys(p: int, degree: int):
     for code in range(p**degree):
-        coeffs = []
-        x = code
-        for _ in range(degree):
-            coeffs.append(x % p)
-            x //= p
-        yield tuple(coeffs) + (1,)
+        yield _digits(code, p, degree) + (1,)
 
 
 def _find_irreducible(p: int, a: int) -> tuple[int, ...]:
     for cand in _monic_polys(p, a):
-        reducible = False
-        for d in range(1, a // 2 + 1):
-            for div in _monic_polys(p, d):
-                if not any(_poly_mod(cand, div, p)):
-                    reducible = True
-                    break
-            if reducible:
-                break
-        if not reducible:
+        if all(any(_poly_mod(cand, div, p)) for d in range(1, a // 2 + 1) for div in _monic_polys(p, d)):
             return cand
     raise AssertionError(f"no irreducible polynomial of degree {a} over GF({p})")
 
@@ -124,27 +116,14 @@ def gf_tables(q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...
         return add, mul
 
     modulus = _find_irreducible(p, a)
-
-    def decode(x: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(a):
-            digits.append(x % p)
-            x //= p
-        return tuple(digits)
-
-    def encode(coeffs: tuple[int, ...]) -> int:
-        x = 0
-        for c in reversed(coeffs):
-            x = x * p + c
-        return x
-
-    elems = [decode(x) for x in range(q)]
+    elems = [_digits(x, p, a) for x in range(q)]
+    index_of = {u: x for x, u in enumerate(elems)}
     add = tuple(
-        tuple(encode(tuple((u[t] + v[t]) % p for t in range(a))) for v in elems)
+        tuple(index_of[tuple((u[t] + v[t]) % p for t in range(a))] for v in elems)
         for u in elems
     )
     mul = tuple(
-        tuple(encode(_poly_mod(_poly_mul(u, v, p), modulus, p)) for v in elems)
+        tuple(index_of[_poly_mod(_poly_mul(u, v, p), modulus, p)] for v in elems)
         for u in elems
     )
     return add, mul

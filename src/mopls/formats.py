@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -156,11 +157,12 @@ def from_json(text: str) -> KPartialSquare:
     if doc.get("version") != JSON_VERSION:
         raise ParseError(f"unsupported version {doc.get('version')!r}")
     try:
-        n = int(doc["n"])
-        k = int(doc["k"])
-        raw_cells = doc["cells"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
-        raise ParseError(f"missing or malformed field: {exc}") from exc
+        n, k, raw_cells = doc["n"], doc["k"], doc["cells"]
+    except KeyError as exc:
+        raise ParseError(f"missing field: {exc}") from exc
+    # fields must be JSON integers: no float, string or bool is converted
+    if type(n) is not int or type(k) is not int:
+        raise ParseError(f"n and k must be integers, got n={n!r}, k={k!r}")
     if n > MAX_ORDER:
         raise ParseError(f"order n={n} exceeds the supported maximum {MAX_ORDER}")
     if k > MAX_LAYERS:
@@ -170,13 +172,17 @@ def from_json(text: str) -> KPartialSquare:
     cells: dict[Cell, EntryTuple] = {}
     for item in raw_cells:
         try:
-            cell = (int(item["row"]), int(item["col"]))
-            entries = tuple(int(e) for e in item["entries"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            row, col, entries = item["row"], item["col"], item["entries"]
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed cell record {item!r}: {exc}") from exc
-        if cell in cells:
-            raise ParseError(f"duplicate cell {cell}")
-        cells[cell] = entries
+        if type(row) is not int or type(col) is not int or type(entries) is not list:
+            raise ParseError(f"malformed cell record {item!r}: row and col must be integers, entries a list")
+        if (row, col) in cells:
+            raise ParseError(f"duplicate cell {(row, col)}")
+        cells[row, col] = tuple(entries)
+    # one pass over all entries; a check per cell would slow large files
+    if set(map(type, chain.from_iterable(cells.values()))) - {int}:
+        raise ParseError("every entry must be an integer")
     try:
         return KPartialSquare.from_cells(n, k, cells)
     except SquareError as exc:

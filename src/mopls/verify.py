@@ -240,11 +240,7 @@ def check_lemma2(
 
 
 def _family_name(coord: int) -> str:
-    if coord == 0:
-        return "row"
-    if coord == 1:
-        return "col"
-    return f"layer{coord - 1}"
+    return ("row", "col")[coord] if coord < 2 else f"layer{coord - 1}"
 
 
 def locate_min_frequency(square: KPartialSquare) -> tuple[int, int, int]:
@@ -294,12 +290,7 @@ def verify_bound(square: KPartialSquare) -> BoundReport:
         raise SquareError("fill inequality applies to maximal squares only")
     n = square.n
     fam, idx, m = locate_min_frequency(square)
-    swap_to_first_entry = {
-        0: (2, 1, 0, 3),
-        1: (0, 2, 1, 3),
-        2: (0, 1, 2, 3),
-        3: (0, 1, 3, 2),
-    }[fam]
+    swap_to_first_entry = [(2, 1, 0, 3), (0, 2, 1, 3), (0, 1, 2, 3), (0, 1, 3, 2)][fam]
     conj = square.conjugate(swap_to_first_entry)
     rows_with = {r for (r, _), entries in conj.cells.items() if entries[0] == idx}
     cols_with = {c for (_, c), entries in conj.cells.items() if entries[0] == idx}

@@ -103,6 +103,13 @@ def test_verify_maximal_reports_malformed_input(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().out
 
 
+def test_verify_maximal_rejects_a_non_integer_field_as_malformed(tmp_path, capsys):
+    path = tmp_path / "float.json"
+    path.write_text('{"format": "kpls", "version": 1, "n": 2.7, "k": 1, "cells": []}')
+    assert main(["verify", "maximal", str(path)]) == 3
+    assert "n and k must be integers, got n=2.7" in capsys.readouterr().out
+
+
 def test_verify_maximal_rejects_an_oversized_order_at_once(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text('{"format": "kpls", "version": 1, "n": 100000000, "k": 2, "cells": []}')

@@ -98,6 +98,24 @@ def test_covering_radius_extremes():
     assert covering_radius(Code(2, 2, full)) == 0
 
 
+@pytest.mark.parametrize("n, length", [(2, 1), (2, 5), (3, 3), (3, 5), (4, 4)])
+def test_one_pass_distance_transform_reaches_the_fixpoint(n, length):
+    # every codeword avoids the symbol n - 1, so the word (n-1, ..., n-1)
+    # differs from each of them in every coordinate: its distance has to be
+    # carried along every axis of the single pass
+    zero = (0,) * length
+    codes = [
+        {zero},
+        {(v,) + zero[1:] for v in range(n - 1)},
+        {zero[1:] + (v,) for v in range(n - 1)},
+        {zero[:p] + (n - 2,) + zero[p + 1:] for p in range(length)},
+    ]
+    for code in codes:
+        words = tuple(sorted(code))
+        radius = covering_radius(Code(n, length, words))
+        assert radius == length == oracle_covering_radius(words, n, length)
+
+
 def test_covering_radius_of_empty_code_is_undefined():
     with pytest.raises(ValueError):
         covering_radius(Code(2, 2, ()))

@@ -16,7 +16,7 @@ from mopls import (
     to_json,
     to_text_grid,
 )
-from mopls.formats import MAX_LAYERS, MAX_ORDER, MAX_TEXT_ORDER
+from mopls.formats import MAX_LAYERS, MAX_ORDER, MAX_TEXT_ORDER, json_document
 
 from conftest import partial_squares
 
@@ -171,6 +171,21 @@ def test_json_malformed_documents(mutate):
         from_json(json.dumps(doc))
 
 
+LENIENT_DOCUMENTS = [
+    '{"format": "kpls", "version": 1, "n": 2.7, "k": 1, "cells": []}',
+    '{"format": "kpls", "version": 1, "n": "2", "k": 1, "cells": []}',
+    '{"format": "kpls", "version": 1, "n": 2, "k": true, "cells": []}',
+    '{"format": "kpls", "version": 1, "n": 2, "k": 2, "cells": [{"row": 0, "col": 0, "entries": "01"}]}',
+]
+
+
+@pytest.mark.parametrize("text", LENIENT_DOCUMENTS)
+def test_json_fields_must_be_integers_not_values_that_convert(text):
+    # each of these once loaded: as order 2, order 2, one layer, and the tuple (0, 1)
+    with pytest.raises(ParseError):
+        from_json(text)
+
+
 def test_json_rejects_non_json():
     with pytest.raises(ParseError):
         from_json("{not json")
@@ -244,9 +259,20 @@ deeply_nested = '{"n": ' + "[" * 100_000
 @example('{"format": "kpls", "version": 1, "n": Infinity, "k": 2, "cells": []}')
 @example('{"format": "kpls", "version": 1, "n": 2, "k": 2, "cells": [{"row": 1e400, "col": 0, "entries": [0, 0]}]}')
 @example(deeply_nested)
+@example(LENIENT_DOCUMENTS[0])
+@example(LENIENT_DOCUMENTS[1])
+@example(LENIENT_DOCUMENTS[2])
+@example(LENIENT_DOCUMENTS[3])
 def test_from_json_raises_only_parse_errors(text):
     with suppress(ParseError):
-        from_json(text)
+        square = from_json(text)
+        # whatever loads is exactly the document: no field was converted
+        doc = json.loads(text)
+        assert (type(doc["n"]), type(doc["k"])) == (int, int)
+        assert json_document(square)["cells"] == sorted(
+            ({key: cell[key] for key in ("row", "col", "entries")} for cell in doc["cells"]),
+            key=lambda cell: (cell["row"], cell["col"]),
+        )
 
 
 @settings(max_examples=300)

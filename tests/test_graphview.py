@@ -1,13 +1,17 @@
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
+import numpy as np
+import pytest
 from hypothesis import assume, given
 
-from mopls import KPartialSquare, complement, has_clique, is_maximal
-from mopls.maximality import candidate_tuples
+from mopls import KPartialSquare, SelfCheckError, complement, has_clique, is_maximal, min_mopls
+from mopls import graphview
+from mopls.codes import covering_radius, to_code
 from mopls.verify import lower_bound
 
-from conftest import complement_edges, partial_squares
+from conftest import complement_edges, maximal_squares_with_holes, partial_squares
 
 
 @given(partial_squares(max_n=5))
@@ -58,16 +62,57 @@ def test_clique_free_iff_maximal(square):
     assert (has_clique(complement(square)) is None) == is_maximal(square)
 
 
+def assert_legal_insertion(square, clique):
+    """The clique names one vertex per group and inserts into the square."""
+    assert [g for g, _ in clique] == list(range(square.k + 2))
+    vertices = [v for _, v in clique]
+    square.insert((vertices[0], vertices[1]), tuple(vertices[2:]))
+
+
 @given(partial_squares(max_n=5))
 def test_found_clique_reads_back_as_legal_insertion(square):
     clique = complement(square).find_clique()
-    if clique is None:
-        return
-    assert [g for g, _ in clique] == list(range(square.k + 2))
-    vertices = [v for _, v in clique]
-    cell = (vertices[0], vertices[1])
-    entries = tuple(vertices[2:])
-    assert entries in candidate_tuples(square, cell)
+    if clique is not None:
+        assert_legal_insertion(square, clique)
+
+
+@given(maximal_squares_with_holes(ks=(1, 2, 3, 4)))
+def test_three_checkers_agree_up_to_four_layers(square):
+    maximal = is_maximal(square)
+    clique = has_clique(complement(square))
+    assert (clique is None) == maximal
+    if square.cells:  # a word at distance above k from every codeword inserts
+        assert (covering_radius(to_code(square)) <= square.k) == maximal
+    if clique is not None:
+        assert_legal_insertion(square, clique)
+
+
+@given(maximal_squares_with_holes(max_n=6, ks=(1, 2, 3, 4)))
+def test_clique_check_in_one_row_slices(square):
+    # a product budget below n sends one (row, vertex) pair per slice
+    expected = complement(square).find_clique()
+    with patch.object(graphview, "_PRODUCT_CELLS", 1):
+        assert complement(square).find_clique() == expected
+
+
+def test_order_99_minimum_square_is_clique_free_until_a_cell_goes():
+    square = min_mopls(99)
+    assert has_clique(complement(square)) is None
+    holed = square.remove(sorted(square.cells)[len(square.cells) // 2])
+    clique = has_clique(complement(holed))
+    assert clique is not None
+    assert_legal_insertion(holed, clique)
+
+
+def test_a_clique_that_is_no_insertion_raises_self_check_error():
+    holed = min_mopls(9).remove((0, 0))
+    graph = complement(holed)
+    word = [v for _, v in graph.find_clique()]
+    # the matrices still see the hole, but the words the witness is checked
+    # against now fill it
+    graph._words = np.vstack([graph._words, word])
+    with pytest.raises(SelfCheckError, match="not a legal insertion"):
+        graph.find_clique()
 
 
 def test_edge_list_and_dot_output():
