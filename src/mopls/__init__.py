@@ -39,7 +39,7 @@ from .formats import (
     to_text_grid,
 )
 from .graphview import ComplementGraph, complement, has_clique
-from .maximality import ExtensionWitness, candidate_tuples, find_extension, is_maximal, maximalize
+from .maximality import ExtensionWitness, find_extension, is_maximal, maximalize
 from .search import SearchResult, is_canonical, min_maximal, verify_bound_exhaustive
 from .verify import (
     BoundReport,
@@ -79,7 +79,6 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "__version__",
-    "candidate_tuples",
     "check_code_equivalence",
     "check_lemma2",
     "complement",

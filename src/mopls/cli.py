@@ -15,11 +15,12 @@ file whole.
 Exit codes: 0 success; 1 a verification failed (or a built square or a
 printed certificate failed its own check); 2 usage error (including
 ``--n`` or ``--k`` below 1 or above :data:`mopls.formats.MAX_ORDER` or
-:data:`mopls.formats.MAX_LAYERS` on ``construct`` and ``search``), or an
-output file that cannot be written; 3 malformed input file or search
-checkpoint, including a missing checkpoint for ``--resume``; 4 parameters
-are infeasible (for example a minimum construction at an order whose
-blocks do not exist).
+:data:`mopls.formats.MAX_LAYERS` on ``construct`` and ``search``, and a
+``--budget`` below 0), or an output file that cannot be written
+(including a text grid above :data:`mopls.formats.MAX_TEXT_ORDER`); 3
+malformed input file or search checkpoint, including a missing
+checkpoint for ``--resume``; 4 parameters are infeasible (for example a
+minimum construction at an order whose blocks do not exist).
 """
 
 from __future__ import annotations
@@ -240,6 +241,8 @@ def cmd_verify(ctx: RunContext, args: argparse.Namespace) -> int:
 
 def cmd_search(ctx: RunContext, args: argparse.Namespace) -> int:
     _check_positive(args)
+    if args.budget is not None and args.budget < 0:
+        raise ValueError(f"--budget must be at least 0, got {args.budget}")
     result = min_maximal(
         args.n,
         args.k,

@@ -59,11 +59,13 @@ def min_distance(code: Code) -> int:
     words = np.asarray(code.words, dtype=np.int16)
     total = len(words)
     best = code.length
+    # the least type that holds length + 1: uint8 for any k a file may declare
+    counts = np.min_scalar_type(code.length + 1)
     for start in range(0, total, 512):
         block = words[start : start + 512]
-        dists = (block[:, None, :] != words[None, :, :]).sum(axis=2)
-        for offset in range(len(block)):
-            dists[offset, start + offset] = code.length + 1  # ignore self
+        dists = (block[:, None, :] != words[None, :, :]).sum(axis=2, dtype=counts)
+        rows = np.arange(len(block))
+        dists[rows, start + rows] = code.length + 1  # ignore self
         best = min(best, int(dists.min()))
     return best
 
@@ -102,6 +104,8 @@ class CodeReport:
     ``consistent`` applies the rule matching the square's shape: for two
     layers above order 3, maximality must coincide with (distance 3,
     radius 2); otherwise maximality must imply radius at most k.
+    ``min_distance`` is None below two words and ``covering_radius`` None
+    for the empty square, which is never maximal.
     """
 
     n: int
@@ -109,7 +113,7 @@ class CodeReport:
     size: int
     length: int
     min_distance: int | None
-    covering_radius: int
+    covering_radius: int | None
     maximal: bool
     rule: str
     consistent: bool
@@ -119,7 +123,7 @@ def check_code_equivalence(square: KPartialSquare) -> CodeReport:
     code = to_code(square)
     maximal = is_maximal(square)
     md = min_distance(code) if len(code.words) >= 2 else None
-    radius = covering_radius(code)
+    radius = covering_radius(code) if code.words else None
     if square.k == 2 and square.n > 3:
         rule = "maximal iff distance 3 and radius 2"
         consistent = maximal == (md == 3 and radius == 2)

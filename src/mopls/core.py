@@ -16,7 +16,9 @@ the two-square presentation holds by construction.
 
 Squares are value-like: ``insert`` and ``remove`` return new squares and
 never mutate their input, so instances can be shared freely across
-threads or worker processes.
+threads or worker processes.  The only state a square gains is the
+:class:`Projections` index it validated with, kept lazily and then only
+read: ``insert`` checks the new word against it and copies it to the child.
 
 Indices and symbols are 0-based throughout the API.  The text-grid format
 in :mod:`mopls.formats` is 1-based, matching the usual printed form.
@@ -91,19 +93,20 @@ def _as_tuple(value: object) -> object:
         return value
 
 
-def _integer_word(cell: object, entries: object) -> Word | None:
-    """The word of a cell whose row, column and entries are all integers, else None.
+def _integer_word(cell: object, entries: object, n: int, k: int) -> tuple[Word | None, bool]:
+    """The word of a cell whose row, column and entries are all integers, else
+    None, and whether it is in range: k entries, every value in 0..n-1.
 
-    Only such words can be sorted, compared and indexed; a cell holding
+    Only integer words can be sorted, compared and indexed; a cell holding
     anything else is reported as a range violation and compared with nothing.
     """
     if not (isinstance(cell, tuple) and len(cell) == 2 and isinstance(entries, tuple)):
-        return None
+        return None, False
     word = cell + entries
     for x in word:
         if type(x) is not int and not isinstance(x, Integral):  # plain ints skip the ABC check
-            return None
-    return word
+            return None, False
+    return word, len(entries) == k and min(word) >= 0 and max(word) < n
 
 
 @dataclass(frozen=True)
@@ -184,14 +187,12 @@ class Projections:
 
     __slots__ = ("table", "_pairs")
 
-    def __init__(self, n: int, width: int, words: Iterable[Word] = ()):
+    def __init__(self, n: int, width: int):
         self.table = [
             [None] * (a + 1) + [[0] * n for _ in range(a + 1, width)] for a in range(width)
         ]
         # (a, b, table[a][b]) for every a < b, walked as one flat loop per word
         self._pairs = [(a, b, self.table[a][b]) for a, b in combinations(range(width), 2)]
-        for word in words:
-            self.add(word)
 
     def add(self, word: Word) -> None:
         """Record ``word`` in every projection."""
@@ -201,6 +202,13 @@ class Projections:
     def clashes(self, word: Word) -> bool:
         """True when ``word`` agrees with some recorded word in two coordinates."""
         return any(column[word[a]] >> word[b] & 1 for a, b, column in self._pairs)
+
+    def copy(self) -> "Projections":
+        """An independent index of the same words."""
+        clone = Projections(len(self.table[0][1]), len(self.table))
+        for (_, _, mine), (_, _, theirs) in zip(clone._pairs, self._pairs):
+            mine[:] = theirs
+        return clone
 
 
 class KPartialSquare:
@@ -213,7 +221,7 @@ class KPartialSquare:
       one coordinate position.
     """
 
-    __slots__ = ("n", "k", "_cells")
+    __slots__ = ("n", "k", "_cells", "_index")
 
     def __init__(self, n: int, k: int, cells: Mapping[Cell, EntryTuple] | None = None):
         if n < 1:
@@ -223,6 +231,7 @@ class KPartialSquare:
         self.n = n
         self.k = k
         self._cells: dict[Cell, EntryTuple] = dict(cells) if cells else {}
+        self._index: Projections | None = None
 
     # -- construction ------------------------------------------------
 
@@ -234,15 +243,7 @@ class KPartialSquare:
     def from_cells(cls, n: int, k: int, cells: Mapping[Cell, EntryTuple]) -> "KPartialSquare":
         """Build and validate a square from a cell map; raises on invalid input."""
         square = cls(n, k, {_as_tuple(c): _as_tuple(e) for c, e in cells.items()})
-        report = square.validate()
-        if not report.ok:
-            first = report.violations[0]
-            exc = {
-                "latin-row": LatinConflictError,
-                "latin-col": LatinConflictError,
-                "orthogonality": OrthogonalityConflictError,
-            }.get(first.kind, SquareError)
-            raise exc(first.message)
+        square.projections()
         return square
 
     @classmethod
@@ -288,8 +289,19 @@ class KPartialSquare:
         return tuple(sorted((r, c) + e for (r, c), e in self._cells.items()))
 
     def projections(self) -> Projections:
-        """A fresh projection index of the filled cells' words."""
-        return Projections(self.n, self.k + 2, self.words())
+        """The index this square validated with, read-only; an unchecked square
+        is validated on first use and raises as :meth:`from_cells` does."""
+        if self._index is None:
+            report = self.validate()
+            if not report.ok:
+                first = report.violations[0]
+                exc = {
+                    "latin-row": LatinConflictError,
+                    "latin-col": LatinConflictError,
+                    "orthogonality": OrthogonalityConflictError,
+                }.get(first.kind, SquareError)
+                raise exc(first.message)
+        return self._index
 
     # -- edits (value-like: return new squares) ------------------------
 
@@ -300,11 +312,20 @@ class KPartialSquare:
         :class:`OrthogonalityConflictError` when the insertion would break
         an invariant, and :class:`SquareError` when the cell or an entry is
         out of range, not an integer, or the tuple has the wrong length.
+        With a kept index only the new word is checked; otherwise the whole square is.
         """
         cell = _as_tuple(cell)
         if cell in self._cells:
             raise CellOccupiedError(f"cell {cell} is already filled")
-        return KPartialSquare.from_cells(self.n, self.k, {**self._cells, cell: entries})
+        entries = _as_tuple(entries)
+        cells = {**self._cells, cell: entries}
+        word, in_range = _integer_word(cell, entries, self.n, self.k)
+        if self._index is None or not in_range or self._index.clashes(word):
+            return KPartialSquare.from_cells(self.n, self.k, cells)
+        child = KPartialSquare(self.n, self.k, cells)
+        child._index = self._index.copy()
+        child._index.add(word)
+        return child
 
     def remove(self, cell: Cell) -> "KPartialSquare":
         """Return a new square with ``cell`` emptied (inverse of insert)."""
@@ -368,13 +389,12 @@ class KPartialSquare:
     # -- validation and accounting -------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check both invariants; report-valued, never raises."""
+        """Check both invariants; report-valued, never raises.  Keeps the index if valid."""
         violations: list[Violation] = []
-        n = self.n
         words = []
         for cell, entries in self._cells.items():
-            word = _integer_word(cell, entries)
-            if word is None or len(entries) != self.k or min(word) < 0 or max(word) >= n:
+            word, in_range = _integer_word(cell, entries, self.n, self.k)
+            if not in_range:
                 violations.append(
                     Violation("range", (cell,), (), f"cell {cell} -> {entries} out of range")
                 )
@@ -396,6 +416,7 @@ class KPartialSquare:
                 index.add(wj)
         clashes.sort(key=lambda clash: clash[:2])
         violations.extend(v for _, _, v in clashes)
+        self._index = None if violations else index
         return ValidationReport(ok=not violations, violations=tuple(violations))
 
     def frequencies(self) -> FrequencyProfile:

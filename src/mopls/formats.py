@@ -70,7 +70,7 @@ def _digit_to_symbol(ch: str, n: int) -> int:
 def to_text_grid(square: KPartialSquare) -> str:
     """Render as an n x n grid of tokens, one row per line."""
     if square.n > MAX_TEXT_ORDER:
-        raise ParseError(
+        raise ValueError(
             f"text grid supports n <= {MAX_TEXT_ORDER}, got n={square.n}; use JSON"
         )
     lines = []

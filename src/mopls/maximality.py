@@ -3,7 +3,7 @@
 A square is maximal when no empty cell admits any entry tuple, i.e.
 every insertion attempt would violate a Latin or word-agreement
 constraint.  The candidate test at an empty cell (r, c) reads the
-square's :class:`mopls.core.Projections` and factors into
+square's kept :class:`mopls.core.Projections` index and factors into
 
 * per layer j, the symbol must be unused in row r and column c of that
   layer (rules out a second agreement with any word sharing the row or
@@ -31,13 +31,14 @@ time, then at each layer as many rows as expand to about
 at once stay a few MB per layer whatever n and k are.  Rows stay in
 row-major cell order, so the first surviving row names the first
 extendable cell and the scan stops there.  The witness tuple is the
-lex-least one at that cell, found without listing the others.  It is
-still a per-cell candidate test, independent of the clique search in
+lex-least one at that cell, from ``_least``: one walk over the cell's
+layer masks that stops at the first complete tuple.  It is still a
+per-cell candidate test, independent of the clique search in
 :mod:`mopls.graphview` and the covering radius in :mod:`mopls.codes`.
 
-:func:`maximalize` inserts greedily and never lists a cell's candidate
-set.  The lex policy takes the cell's least tuple with the same early
-stop.  The random policy counts and ranks: it counts the cell's legal
+:func:`maximalize` inserts greedily into a copy of the square's index and
+never lists a cell's candidate set.  The lex policy takes ``_least`` too.
+The random policy counts and ranks: it counts the cell's legal
 tuples from its k allowed-symbol masks with ``int.bit_count`` (the last
 layer is one popcount per prefix, the last two layers a single loop),
 draws ``rng.randrange(count)``, and walks down the layers, skipping the
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cell, EntryTuple, KPartialSquare, Projections, SelfCheckError, SquareError, lower_bound
+from .core import Cell, EntryTuple, KPartialSquare, SelfCheckError, lower_bound
 
 #: About the most 64-bit mask words one frontier slice may expand to: at
 #: layer i a slice holds ``_FRONTIER_WORDS // (n * ceil(n / 64) * (k - 1 - i))``
@@ -77,37 +78,22 @@ def _allowed(table: list[list[list[int]]], n: int, k: int, cell: Cell) -> list[i
     return [free & ~(table[0][j][r] | table[1][j][c]) for j in range(2, k + 2)]
 
 
-def _candidates(
-    index: Projections, n: int, k: int, cell: Cell, first: bool = False
-) -> list[EntryTuple]:
-    """All entry tuples legal at an empty cell, lexicographically sorted;
-    with ``first``, only the least of them (or none)."""
-    table = index.table
-    allowed = _allowed(table, n, k, cell)
-    if not all(allowed):
-        return []
-    out: list[EntryTuple] = []
-    prefix: list[int] = []
-
-    def extend(j: int) -> bool:
-        """Append the tuples extending ``prefix``; True once ``first`` is met."""
-        if j == k:
-            out.append(tuple(prefix))
-            return first
-        mask = allowed[j]
-        for i, e in enumerate(prefix):
-            mask &= ~table[2 + i][2 + j][e]
-        while mask:
-            low = mask & -mask
-            prefix.append(low.bit_length() - 1)
-            if extend(j + 1):
-                return True
-            prefix.pop()
-            mask ^= low
-        return False
-
-    extend(0)
-    return out
+def _least(table: list[list[list[int]]], masks: list[int], j: int = 0) -> EntryTuple | None:
+    """The lex-least legal tuple for layers j, j + 1, ... whose allowed-symbol
+    masks, narrowed as in ``_count``, are ``masks``; None when there is none."""
+    if not all(masks):
+        return None
+    mask, later = masks[0], masks[1:]
+    if not later:
+        return ((mask & -mask).bit_length() - 1,)
+    pairs = table[2 + j][3 + j:]
+    while mask:
+        e = (mask & -mask).bit_length() - 1
+        rest = _least(table, [m & ~p[e] for m, p in zip(later, pairs)], j + 1)
+        if rest is not None:
+            return (e, *rest)
+        mask &= mask - 1
+    return None
 
 
 def _count(table: list[list[list[int]]], masks: list[int], j: int) -> int:
@@ -158,13 +144,6 @@ def _tuple_of_rank(table: list[list[list[int]]], masks: list[int], rank: int) ->
     return tuple(out)
 
 
-def candidate_tuples(square: KPartialSquare, cell: Cell) -> list[EntryTuple]:
-    """Entry tuples insertable at ``cell`` without breaking any constraint."""
-    if square.is_filled(cell):
-        raise SquareError(f"cell {cell} is filled, candidates are undefined")
-    return _candidates(square.projections(), square.n, square.k, cell)
-
-
 def _packed(rows: list[list[int]], words: int) -> np.ndarray:
     """Equal-length lists of bitmasks as little-endian uint64 words, indexed
     [x, list, word]: ``out[x, i]`` holds ``rows[i][x]``."""
@@ -179,8 +158,7 @@ def find_extension(square: KPartialSquare) -> ExtensionWitness | None:
     repeated calls name the same witness.
     """
     n, k = square.n, square.k
-    index = square.projections()
-    table = index.table
+    table = square.projections().table
     words = -(-n // 64)
     full = (1 << n) - 1
 
@@ -223,7 +201,10 @@ def find_extension(square: KPartialSquare) -> ExtensionWitness | None:
         found = first_survivor(0, np.arange(len(rows)), row_free[rows] & col_free[cols])
         if found is not None:
             cell = (int(rows[found]), int(cols[found]))
-            return ExtensionWitness(cell, _candidates(index, n, k, cell, first=True)[0])
+            entries = _least(table, _allowed(table, n, k, cell))
+            if entries is None:
+                raise SelfCheckError(f"the scan found cell {cell} extendable, but it admits no tuple")
+            return ExtensionWitness(cell, entries)
     return None
 
 
@@ -249,25 +230,22 @@ def maximalize(
     if policy not in ("lex", "random"):
         raise ValueError(f"unknown policy {policy!r}")
     rng = random.Random(seed) if policy == "random" else None
-    index = square.projections()
+    index = square.projections().copy()
     order = list(square.empty_cells())
     if rng is not None:
         rng.shuffle(order)
     cells = dict(square.cells)
     n, k, table = square.n, square.k, index.table
     for cell in order:
+        masks = _allowed(table, n, k, cell)
         if rng is None:
-            cands = _candidates(index, n, k, cell, first=True)
-            if not cands:
-                continue
-            choice = cands[0]
+            choice = _least(table, masks)
         else:
-            masks = _allowed(table, n, k, cell)
             count = _count(table, masks, 0) if all(masks) else 0
-            if not count:
-                continue
             # the same _randbelow(count) draw as choice() on the listed candidates
-            choice = _tuple_of_rank(table, masks, rng.randrange(count))
+            choice = _tuple_of_rank(table, masks, rng.randrange(count)) if count else None
+        if choice is None:
+            continue
         cells[cell] = choice
         index.add(cell + choice)
     result = KPartialSquare(square.n, square.k, cells)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from mopls import KPartialSquare, Violation
 from mopls.core import _classify
-from mopls.maximality import _candidates, candidate_tuples, maximalize
+from mopls.maximality import _allowed, _least, maximalize
 
 DATA = Path(__file__).parent / "data"
 
@@ -80,25 +80,41 @@ def oracle_violations(square: KPartialSquare) -> tuple[Violation, ...]:
 
 
 def oracle_candidates(square: KPartialSquare, cell) -> list[tuple]:
-    """All entry tuples insertable at an empty cell, by brute enumeration."""
-    r, c = cell
-    words = square.words()
+    """All entry tuples insertable at an empty cell, in lex order.
+
+    Two words agree in two coordinates exactly when they share the values
+    of some coordinate pair, so a tuple is legal when no pair of its word's
+    values is in the set of the square's (a, b, w[a], w[b]) values.  The
+    tuples are grown one coordinate at a time, and a prefix that already
+    shares a pair is not extended.
+    """
+    width = square.k + 2
+    used = {
+        (a, b, w[a], w[b]) for w in square.words() for a, b in itertools.combinations(range(width), 2)
+    }
     found = []
-    for entries in itertools.product(range(square.n), repeat=square.k):
-        w = (r, c) + entries
-        if all(oracle_agreements(w, other) <= 1 for other in words):
-            found.append(entries)
+
+    def grow(word):
+        if len(word) == width:
+            found.append(word[2:])
+            return
+        b = len(word)
+        for x in range(square.n):
+            if not any((a, b, word[a], x) in used for a in range(b)):
+                grow(word + (x,))
+
+    grow(tuple(cell))
     return found
 
 
 def oracle_find_extension(square: KPartialSquare):
     """(cell, entries) of the first extendable cell in row-major order with its
     lex-least tuple, or None: the per-cell loop the vectorized scan replaced."""
-    index = square.projections()
+    table = square.projections().table
     for cell in square.empty_cells():
-        cands = _candidates(index, square.n, square.k, cell)
-        if cands:
-            return cell, cands[0]
+        entries = _least(table, _allowed(table, square.n, square.k, cell))
+        if entries is not None:
+            return cell, entries
     return None
 
 
@@ -107,16 +123,14 @@ def oracle_maximalize(square: KPartialSquare, policy: str = "lex", seed=None) ->
     first tuple (lex) or ``rng.choice`` of it (random), over the cell order
     ``maximalize`` uses; the listing loop that count-and-rank selection replaced."""
     rng = random.Random(seed) if policy == "random" else None
-    index = square.projections()
     order = list(square.empty_cells())
     if rng is not None:
         rng.shuffle(order)
     cells = dict(square.cells)
     for cell in order:
-        cands = _candidates(index, square.n, square.k, cell)
+        cands = oracle_candidates(KPartialSquare(square.n, square.k, cells), cell)
         if cands:
             cells[cell] = cands[0] if rng is None else rng.choice(cands)
-            index.add(cell + cells[cell])
     return KPartialSquare(square.n, square.k, cells)
 
 
@@ -267,7 +281,7 @@ def partial_squares(draw, min_n=1, max_n=6, ks=(1, 2, 3), allow_empty=True):
     for cell in cells:
         if square.filled_count >= fill_goal * n * n:
             break
-        options = candidate_tuples(square, cell)
+        options = oracle_candidates(square, cell)
         if options:
             square = square.insert(cell, rng.choice(options))
     return square

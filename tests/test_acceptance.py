@@ -15,12 +15,12 @@ from time import perf_counter
 
 import pytest
 
-from conftest import complement_edges, oracle_max_empty_transversal
+from conftest import complement_edges, oracle_candidates, oracle_max_empty_transversal
 from mopls.codes import check_code_equivalence, covering_radius, min_distance, to_code
 from mopls.construct import k_mopls_diagonal, k_ols, min_mopls, min_mpls
 from mopls.core import KPartialSquare
 from mopls.graphview import complement, has_clique
-from mopls.maximality import candidate_tuples, is_maximal, maximalize
+from mopls.maximality import is_maximal, maximalize
 from mopls.search import min_maximal, verify_bound_exhaustive
 from mopls.verify import (
     lower_bound,
@@ -234,7 +234,7 @@ def test_transversal_matcher_against_brute_force():
             cell = (rng.randrange(n), rng.randrange(n))
             if square.is_filled(cell):
                 continue
-            options = candidate_tuples(square, cell)
+            options = oracle_candidates(square, cell)
             if options:
                 square = square.insert(cell, rng.choice(options))
         d = rng.randint(1, min(6, n))

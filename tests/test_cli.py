@@ -301,6 +301,13 @@ def test_search_min_non_positive_order_is_a_usage_error(n, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_search_min_negative_budget_is_a_usage_error(capsys):
+    assert main(["search", "min", "--n", "2", "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --budget must be at least 0, got -1\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "maximal", "--n", "0"],
     ["construct", "maximal", "--n", "3", "--k", "0"],
@@ -406,6 +413,14 @@ def test_code_analyze_consistent(square_file, capsys):
     assert "consistent=True" in out
 
 
+def test_code_analyze_of_the_empty_square_has_no_covering_radius(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    save_square(KPartialSquare.empty(4, 2), path)
+    assert main(["code", "analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "min_distance=None covering_radius=None" in out and "consistent=True" in out
+
+
 def test_code_analyze_json(square_file, capsys):
     assert main(["code", "analyze", str(square_file), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -504,6 +519,13 @@ def test_output_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
     assert main(["construct", "min-mopls", "--n", "9", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
     assert not (tmp_path / "nodir").exists()
+
+
+def test_text_grid_above_its_order_limit_is_an_unwritable_output(tmp_path, capsys):
+    out = tmp_path / "big.txt"
+    assert main(["construct", "min-mopls", "--n", "39", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: text grid supports n <= 35, got n=39; use JSON\n"
+    assert not out.exists()
 
 
 def test_construction_that_fails_its_own_check_exits_1(monkeypatch, capsys):

@@ -67,6 +67,11 @@ def test_min_distance_on_a_code_larger_than_one_block():
     assert min_distance(Code(2, 10, words)) == 1
 
 
+def test_min_distance_counts_past_one_byte():
+    # words longer than 255 letters: a uint8 count would wrap
+    assert min_distance(Code(2, 300, ((0,) * 300, (1,) * 300))) == 300
+
+
 def test_square_codes_have_distance_above_layer_count():
     square = min_mopls(9)
     assert min_distance(to_code(square)) == 3

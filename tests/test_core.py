@@ -9,9 +9,9 @@ from mopls import (
     OrthogonalityConflictError,
     SquareError,
 )
-from mopls.core import agreement_positions
+from mopls.core import Projections, agreement_positions
 
-from conftest import oracle_valid, oracle_violations, partial_squares, raw_squares, square_with_empty_cell
+from conftest import oracle_candidates, oracle_valid, oracle_violations, partial_squares, raw_squares, square_with_empty_cell
 
 
 def test_empty_square():
@@ -318,3 +318,29 @@ def test_insert_raises_the_class_of_the_first_reference_violation(square, data):
     with pytest.raises(SquareError) as caught:
         square.insert(cell, entries)
     assert type(caught.value) is expected
+    with pytest.raises(SquareError) as loaded:
+        KPartialSquare.from_cells(square.n, square.k, merged)
+    assert str(caught.value) == str(loaded.value)
+
+
+def _must_not_validate(self):
+    raise AssertionError("validate called")
+
+
+@given(square_with_empty_cell(max_n=5), st.data())
+def test_insert_checks_only_the_new_word_against_the_kept_index(pair, data):
+    square, cell = pair
+    options = oracle_candidates(square, cell)
+    if not options:
+        return
+    entries = data.draw(st.sampled_from(options))
+    table = square.projections().table
+    before = [[None if column is None else list(column) for column in row] for row in table]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(KPartialSquare, "validate", _must_not_validate)
+        child = square.insert(cell, entries)
+        assert square.projections().table == before
+        fresh = Projections(square.n, square.k + 2)
+        for word in child.words():
+            fresh.add(word)
+        assert child.projections().table == fresh.table

@@ -96,9 +96,11 @@ def test_text_rejects_invalid_square():
 
 
 def test_text_rejects_oversized_order():
+    # a square too large for the grid is not malformed input: writing it fails
     sq = KPartialSquare.empty(36, 2)
-    with pytest.raises(ParseError):
+    with pytest.raises(ValueError) as caught:
         to_text_grid(sq)
+    assert type(caught.value) is ValueError
 
 
 def test_parsers_reject_orders_above_the_maximum():

@@ -6,12 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mopls import KPartialSquare, SelfCheckError, SquareError, find_extension, is_maximal, maximalize
-from mopls import maximality
+from mopls import core, maximality
 from mopls.construct import k_mopls_diagonal, min_mopls
-from mopls.maximality import candidate_tuples
-from mopls.verify import lower_bound
+from mopls.formats import load_square
+from mopls.verify import lower_bound, verify_bound
 
 from conftest import (
+    DATA,
     maximal_squares_with_holes,
     oracle_candidates,
     oracle_find_extension,
@@ -19,27 +20,13 @@ from conftest import (
     oracle_maximalize,
     oracle_valid,
     partial_squares,
-    square_with_empty_cell,
+    raw_squares,
 )
 
 
 def _witness(square):
     found = find_extension(square)
     return None if found is None else (found.cell, found.entries)
-
-
-@given(square_with_empty_cell(max_n=5))
-def test_candidate_tuples_match_brute_force(pair):
-    square, cell = pair
-    assert sorted(candidate_tuples(square, cell)) == sorted(
-        oracle_candidates(square, cell)
-    )
-
-
-def test_candidate_tuples_rejects_filled_cell():
-    sq = KPartialSquare.empty(3, 2).insert((0, 0), (0, 0))
-    with pytest.raises(SquareError):
-        candidate_tuples(sq, (0, 0))
 
 
 @given(partial_squares(max_n=5))
@@ -106,7 +93,33 @@ def test_find_extension_returns_first_row_major_lex_least():
     witness = find_extension(sq)
     assert witness is not None
     assert witness.cell == (0, 1)
-    assert witness.entries == min(candidate_tuples(sq, (0, 1)))
+    assert witness.entries == oracle_candidates(sq, (0, 1))[0]
+
+
+def test_a_loaded_square_builds_its_index_once(monkeypatch):
+    built = []
+    build = core.Projections.__init__
+
+    def counted(self, *args):
+        built.append(args[:2])
+        build(self, *args)
+
+    monkeypatch.setattr(core.Projections, "__init__", counted)
+    square = load_square(DATA / "mopls_9.txt")
+    assert find_extension(square) is None and is_maximal(square)
+    assert verify_bound(square).ok
+    assert built == [(9, 4)]
+
+
+@given(st.one_of(raw_squares(), raw_squares(in_range=False)))
+def test_find_extension_on_an_unchecked_invalid_square_raises_its_first_violation(square):
+    if square.validate().ok:
+        return
+    with pytest.raises(SquareError) as caught:
+        find_extension(square)
+    with pytest.raises(SquareError) as loaded:
+        KPartialSquare.from_cells(square.n, square.k, square.cells)
+    assert (type(caught.value), str(caught.value)) == (type(loaded.value), str(loaded.value))
 
 
 def test_find_extension_none_when_maximal(golden):
@@ -119,8 +132,8 @@ def test_order_two_diagonal_pair_is_maximal():
     # at (0, 1) the row forces entries (1, 1), but (1, 1) already appears
     # at cell (1, 1); symmetrically for (1, 0), so two cells suffice
     sq = KPartialSquare.from_cells(2, 2, {(0, 0): (0, 0), (1, 1): (1, 1)})
-    assert candidate_tuples(sq, (0, 1)) == []
-    assert candidate_tuples(sq, (1, 0)) == []
+    assert oracle_candidates(sq, (0, 1)) == []
+    assert oracle_candidates(sq, (1, 0)) == []
     assert is_maximal(sq)
     assert not is_maximal(sq.remove((1, 1)))
 
@@ -165,18 +178,19 @@ def test_maximalize_matches_the_listing_reference(square, policy, seed):
 
 @given(st.one_of(partial_squares(max_n=6, ks=(1, 2, 3, 4)), maximal_squares_with_holes(max_n=6)))
 def test_every_rank_names_the_candidate_of_that_rank(square):
-    index = square.projections()
+    table = square.projections().table
     for cell in square.empty_cells():
-        listed = maximality._candidates(index, square.n, square.k, cell)
-        masks = maximality._allowed(index.table, square.n, square.k, cell)
-        count = maximality._count(index.table, masks, 0)
+        listed = oracle_candidates(square, cell)
+        masks = maximality._allowed(table, square.n, square.k, cell)
+        count = maximality._count(table, masks, 0)
         assert count == len(listed)
-        assert [maximality._tuple_of_rank(index.table, masks, rank) for rank in range(count)] == listed
+        assert [maximality._tuple_of_rank(table, masks, rank) for rank in range(count)] == listed
+        assert maximality._least(table, masks) == (listed[0] if listed else None)
 
 
 def test_maximalize_checks_its_fill_explicitly(monkeypatch):
     # lex takes each cell's first candidate, random counts them
-    monkeypatch.setattr(maximality, "_candidates", lambda *args, **kwargs: [])
+    monkeypatch.setattr(maximality, "_least", lambda *args: None)
     monkeypatch.setattr(maximality, "_count", lambda *args: 0)
     for policy in ("lex", "random"):
         with pytest.raises(SelfCheckError, match="below the bound"):

@@ -15,3 +15,29 @@ def test_program_checks_do_not_use_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_each_square_keeps_one_index():
+    # a square keeps the Projections index it validated with; only validation
+    # builds one and only a copy duplicates it, so no module rebuilds a
+    # square's constraints, and only core sets a square's kept index
+    built, kept = set(), set()
+
+    def visit(node, path, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and "Projections" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            built.add((path.name, function))
+        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+        assigned = [t for target in targets if target for t in ast.walk(target)]
+        if any(isinstance(t, ast.Attribute) and t.attr == "_index" for t in assigned):
+            kept.add(path.name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, function)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), filename=str(path)), path, None)
+    assert built == {("core.py", "validate"), ("core.py", "copy")}
+    assert kept == {"core.py"}
