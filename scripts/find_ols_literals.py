@@ -495,8 +495,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=20240901)
     parser.add_argument("--time-cap", type=float, default=900.0,
                         help="seconds per order before giving up")
-    parser.add_argument("--node-cap", type=int, default=400_000,
-                        help="backtracking nodes per restart")
     args = parser.parse_args(argv)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -509,7 +507,8 @@ def main(argv: list[str] | None = None) -> int:
         if out_path.exists():
             print(f"m={m}: {out_path} already exists, skipping")
             continue
-        rng = random.Random((args.seed, m))
+        # what random.Random((args.seed, m)) did before Python 3.11 refused tuple seeds
+        rng = random.Random(hash((args.seed, m)) % 2**64)
         start = time.monotonic()
         deadline = start + args.time_cap
         if m <= 12:

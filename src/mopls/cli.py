@@ -97,21 +97,19 @@ class RunContext:
             write_atomic(manifest, json.dumps(doc, indent=2) + "\n")
 
 
-def _jsonable(value: Any) -> Any:
+def _json_default(value: Any) -> Any:
+    """``json.dumps``'s hook for reports: a square as its file document, a
+    dataclass as its fields."""
     if isinstance(value, KPartialSquare):
         return json_document(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _emit(args: argparse.Namespace, report: Any, lines: list[str]) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(_jsonable(report), indent=2))
+        print(json.dumps(report, indent=2, default=_json_default))
     else:
         for line in lines:
             print(line)
@@ -125,7 +123,7 @@ def _write_square(ctx: RunContext, args: argparse.Namespace, square: KPartialSqu
         ctx.outputs.append(out)
         print(f"wrote {out} ({square.filled_count} filled cells, n={square.n}, k={square.k})")
     else:
-        if fmt in ("auto", "text") and square.n <= MAX_TEXT_ORDER:
+        if fmt == "text" or fmt == "auto" and square.n <= MAX_TEXT_ORDER:
             print(to_text_grid(square), end="")
         else:
             print(to_json(square), end="")
@@ -173,15 +171,16 @@ def cmd_construct(ctx: RunContext, args: argparse.Namespace) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
-def _verify_one_maximal(path: str) -> tuple[str, bool, str]:
+def _verify_one_maximal(path: str) -> tuple[int, str]:
+    """The exit code and the report line of one file."""
     try:
         square = load_square(path)
     except ParseError as exc:
-        return path, False, f"malformed: {exc}"
+        return EXIT_MALFORMED, f"{path}: malformed: {exc}"
     witness = find_extension(square)
     if witness is None:
-        return path, True, f"maximal (n={square.n}, k={square.k}, filled={square.filled_count})"
-    return path, False, f"extendable at {witness.cell} with {witness.entries}"
+        return EXIT_OK, f"{path}: maximal (n={square.n}, k={square.k}, filled={square.filled_count})"
+    return EXIT_VERIFY_FAILED, f"{path}: extendable at {witness.cell} with {witness.entries}"
 
 
 def cmd_verify(ctx: RunContext, args: argparse.Namespace) -> int:
@@ -195,15 +194,10 @@ def cmd_verify(ctx: RunContext, args: argparse.Namespace) -> int:
                 results = list(pool.map(_verify_one_maximal, paths))
         else:
             results = [_verify_one_maximal(p) for p in paths]
-        status = EXIT_OK
-        for path, good, message in results:
-            print(f"{path}: {message}")
-            if message.startswith("malformed"):
-                status = EXIT_MALFORMED
-            elif not good and status == EXIT_OK:
-                status = EXIT_VERIFY_FAILED
+        for _, line in results:
+            print(line)
         ctx.inputs.extend(Path(p) for p in paths)
-        return status
+        return max(code for code, _ in results)
 
     square = ctx.read_square(args.files[0])
     if what == "bound":
@@ -258,8 +252,7 @@ def cmd_search(ctx: RunContext, args: argparse.Namespace) -> int:
         lines.append(f"budget of {result.budget} nodes exhausted; resume with --resume")
     _emit(args, result, lines)
     if args.out:
-        doc = _jsonable(result)
-        ctx.write_text(Path(args.out), json.dumps(doc, indent=2) + "\n")
+        ctx.write_text(Path(args.out), json.dumps(result, indent=2, default=_json_default) + "\n")
     return EXIT_OK
 
 

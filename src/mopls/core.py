@@ -26,10 +26,10 @@ in :mod:`mopls.formats` is 1-based, matching the usual printed form.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
-from numbers import Integral
 from typing import Iterable, Iterator, Mapping
 
 Cell = tuple[int, int]
@@ -94,8 +94,9 @@ def _as_tuple(value: object) -> object:
 
 
 def _integer_word(cell: object, entries: object, n: int, k: int) -> tuple[Word | None, bool]:
-    """The word of a cell whose row, column and entries are all integers, else
-    None, and whether it is in range: k entries, every value in 0..n-1.
+    """The word of a cell whose row, column and entries are all integers, as
+    plain ints (``operator.index``), else None, and whether it is in range:
+    k entries, every value in 0..n-1.
 
     Only integer words can be sorted, compared and indexed; a cell holding
     anything else is reported as a range violation and compared with nothing.
@@ -104,8 +105,12 @@ def _integer_word(cell: object, entries: object, n: int, k: int) -> tuple[Word |
         return None, False
     word = cell + entries
     for x in word:
-        if type(x) is not int and not isinstance(x, Integral):  # plain ints skip the ABC check
-            return None, False
+        if type(x) is not int:  # plain ints skip the conversion
+            try:
+                word = tuple(map(operator.index, word))
+            except TypeError:
+                return None, False
+            break
     return word, len(entries) == k and min(word) >= 0 and max(word) < n
 
 
@@ -139,32 +144,23 @@ class FrequencyProfile:
 
     ``filled`` is the total number of filled cells; ``row_counts`` and
     ``col_counts`` give filled cells per row/column; ``layer_counts[j][s]``
-    counts occurrences of symbol ``s`` in layer ``j``; ``minimum`` is the
-    least value over all k+2 frequency families.  The minimum never
-    exceeds the mean ``filled / n``.
+    counts occurrences of symbol ``s`` in layer ``j``.
     """
 
     filled: int
     row_counts: tuple[int, ...]
     col_counts: tuple[int, ...]
     layer_counts: tuple[tuple[int, ...], ...]
-    minimum: int
 
 
 def _classify(w1: Word, w2: Word, c1: Cell, c2: Cell, coords: tuple[int, ...]) -> Violation:
     # coords has >= 2 entries; cells are distinct so 0 and 1 cannot both agree
-    if 0 in coords:
-        layers = [i - 1 for i in coords if i >= 2]
+    line, layer = coords[:2]
+    if line < 2:
+        kind, name = (("latin-row", "row"), ("latin-col", "column"))[line]
         return Violation(
-            "latin-row", (c1, c2), coords,
-            f"row {w1[0]}: layer {layers[0] + 1} repeats symbol {w1[coords[-1]]} "
-            f"in cells {c1} and {c2}",
-        )
-    if 1 in coords:
-        layers = [i - 1 for i in coords if i >= 2]
-        return Violation(
-            "latin-col", (c1, c2), coords,
-            f"column {w1[1]}: layer {layers[0] + 1} repeats symbol {w1[coords[-1]]} "
+            kind, (c1, c2), coords,
+            f"{name} {w1[line]}: layer {layer - 1} repeats symbol {w1[layer]} "
             f"in cells {c1} and {c2}",
         )
     return Violation(
@@ -420,7 +416,7 @@ class KPartialSquare:
         return ValidationReport(ok=not violations, violations=tuple(violations))
 
     def frequencies(self) -> FrequencyProfile:
-        """Row, column and per-layer symbol frequencies with their minimum."""
+        """Row, column and per-layer symbol frequencies."""
         n, k = self.n, self.k
         row_counts = [0] * n
         col_counts = [0] * n
@@ -430,15 +426,11 @@ class KPartialSquare:
             col_counts[c] += 1
             for j, e in enumerate(entries):
                 layer_counts[j][e] += 1
-        minimum = min(
-            min(row_counts), min(col_counts), min(min(lc) for lc in layer_counts)
-        )
         return FrequencyProfile(
             filled=len(self._cells),
             row_counts=tuple(row_counts),
             col_counts=tuple(col_counts),
             layer_counts=tuple(tuple(lc) for lc in layer_counts),
-            minimum=minimum,
         )
 
     # -- dunder plumbing ----------------------------------------------

@@ -31,21 +31,18 @@ time, then at each layer as many rows as expand to about
 at once stay a few MB per layer whatever n and k are.  Rows stay in
 row-major cell order, so the first surviving row names the first
 extendable cell and the scan stops there.  The witness tuple is the
-lex-least one at that cell, from ``_least``: one walk over the cell's
-layer masks that stops at the first complete tuple.  It is still a
+lex-least one at that cell, rank 0 of ``_tuple_of_rank``.  It is still a
 per-cell candidate test, independent of the clique search in
 :mod:`mopls.graphview` and the covering radius in :mod:`mopls.codes`.
 
-:func:`maximalize` inserts greedily into a copy of the square's index and
-never lists a cell's candidate set.  The lex policy takes ``_least`` too.
-The random policy counts and ranks: it counts the cell's legal
-tuples from its k allowed-symbol masks with ``int.bit_count`` (the last
-layer is one popcount per prefix, the last two layers a single loop),
-draws ``rng.randrange(count)``, and walks down the layers, skipping the
-subtree count of every lower symbol, to the tuple of that lex rank.
-``randrange(count)`` and ``choice`` on a list of ``count`` tuples both
-draw ``_randbelow(count)``, so a seed gives the square that choosing
-from the listed candidates gives.
+:func:`maximalize` inserts greedily into a copy of the square's index,
+and both policies take a cell's tuple by its lex rank: ``_tuple_of_rank``
+walks down the layers, skipping the subtree of every lower symbol, whose
+size it counts from the k allowed-symbol masks with ``int.bit_count``
+(the last layer is one popcount per prefix, the last two layers a single
+loop).  The lex policy takes rank 0.  The random policy counts the
+cell's legal tuples and draws ``rng.randrange(count)``, the same
+``_randbelow(count)`` draw as ``choice`` on a list of ``count`` tuples.
 """
 
 from __future__ import annotations
@@ -78,24 +75,6 @@ def _allowed(table: list[list[list[int]]], n: int, k: int, cell: Cell) -> list[i
     return [free & ~(table[0][j][r] | table[1][j][c]) for j in range(2, k + 2)]
 
 
-def _least(table: list[list[list[int]]], masks: list[int], j: int = 0) -> EntryTuple | None:
-    """The lex-least legal tuple for layers j, j + 1, ... whose allowed-symbol
-    masks, narrowed as in ``_count``, are ``masks``; None when there is none."""
-    if not all(masks):
-        return None
-    mask, later = masks[0], masks[1:]
-    if not later:
-        return ((mask & -mask).bit_length() - 1,)
-    pairs = table[2 + j][3 + j:]
-    while mask:
-        e = (mask & -mask).bit_length() - 1
-        rest = _least(table, [m & ~p[e] for m, p in zip(later, pairs)], j + 1)
-        if rest is not None:
-            return (e, *rest)
-        mask &= mask - 1
-    return None
-
-
 def _count(table: list[list[list[int]]], masks: list[int], j: int) -> int:
     """Number of legal tuples for layers j, j + 1, ... whose allowed-symbol
     masks, already narrowed by the symbols chosen below layer j, are ``masks``."""
@@ -118,14 +97,15 @@ def _count(table: list[list[list[int]]], masks: list[int], j: int) -> int:
     return total
 
 
-def _tuple_of_rank(table: list[list[list[int]]], masks: list[int], rank: int) -> EntryTuple:
-    """The legal tuple of lex rank ``rank`` (below ``_count(table, masks, 0)``):
-    at each layer, skip the whole subtrees of lower symbols."""
+def _tuple_of_rank(table: list[list[list[int]]], masks: list[int], rank: int) -> EntryTuple | None:
+    """The legal tuple of lex rank ``rank``, or None when there are no more
+    than ``rank``: at each layer, skip the whole subtrees of lower symbols.
+    Rank 0 is the lex-least tuple."""
     out = []
     for j in range(len(masks) - 1):
         mask, later = masks[0], masks[1:]
         pairs = table[2 + j][3 + j:]
-        while True:
+        while mask:
             e = (mask & -mask).bit_length() - 1
             if len(later) == 1:
                 size = (later[0] & ~pairs[0][e]).bit_count()
@@ -135,11 +115,15 @@ def _tuple_of_rank(table: list[list[list[int]]], masks: list[int], rank: int) ->
                 break
             rank -= size
             mask &= mask - 1
+        else:
+            return None
         out.append(e)
         masks = [m & ~p[e] for m, p in zip(later, pairs)]
     mask = masks[0]
     for _ in range(rank):
         mask &= mask - 1
+    if not mask:
+        return None
     out.append((mask & -mask).bit_length() - 1)
     return tuple(out)
 
@@ -201,7 +185,7 @@ def find_extension(square: KPartialSquare) -> ExtensionWitness | None:
         found = first_survivor(0, np.arange(len(rows)), row_free[rows] & col_free[cols])
         if found is not None:
             cell = (int(rows[found]), int(cols[found]))
-            entries = _least(table, _allowed(table, n, k, cell))
+            entries = _tuple_of_rank(table, _allowed(table, n, k, cell), 0)
             if entries is None:
                 raise SelfCheckError(f"the scan found cell {cell} extendable, but it admits no tuple")
             return ExtensionWitness(cell, entries)
@@ -239,7 +223,7 @@ def maximalize(
     for cell in order:
         masks = _allowed(table, n, k, cell)
         if rng is None:
-            choice = _least(table, masks)
+            choice = _tuple_of_rank(table, masks, 0)
         else:
             count = _count(table, masks, 0) if all(masks) else 0
             # the same _randbelow(count) draw as choice() on the listed candidates

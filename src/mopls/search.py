@@ -42,8 +42,8 @@ tree once, as a local, before its first child, and passes it to
 ``is_canonical`` with each child; it skips the scan of a parent with no
 candidate word.  The (family, slot) pairs the scans index labels by are
 computed once per word table, with the table's order as the slot width.
-``is_canonical`` called without a tree sorts the list and builds its
-prefix's tree itself.
+``is_canonical`` called without a tree sorts the list and decides it by
+its own scan: the list is canonical when it has a tie tree.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from math import inf
 from pathlib import Path
 from typing import Sequence
 
-from .core import KPartialSquare, SquareError, Word, bits_above, lower_bound
+from .core import KPartialSquare, SelfCheckError, Word, bits_above, lower_bound
 from .formats import ParseError, read_json, write_atomic
 
 CHECKPOINT_VERSION = 1
@@ -184,19 +184,13 @@ def is_canonical(words: "Sequence[Word]", tree: tuple | None = None) -> bool:
     ``tree``, when given, is ``_tie_tree`` of ``words[:-1]`` for a sorted
     list ``words`` whose last word is above the others; the searches pass
     each parent's tree to decide its children from their one new word.
-    Without it the list is sorted and its prefix's tree built here.
+    Without it the list is sorted and decided by its own tie tree.
     """
     if tree is None:
         words = sorted(map(tuple, words))
-        if len(words) < 2:
-            return not words or not any(words[0])  # the cut leaves one word 0...0
-        prefix = words[:-1]
-        # room for one value above the prefix's: a larger one fails the cut
-        order = 2 + max(map(max, prefix))
-        tree = _tie_tree(prefix, order, _word_slots(words, order))
-        if tree is None:
-            return False  # a canonical list keeps a canonical prefix
-    elif len(words) < 2:
+        order = 1 + max(map(max, words), default=0)
+        return _tie_tree(words, order, _word_slots(words, order)) is not None
+    if len(words) < 2:
         return not any(words[0])
     nodes, pairs, nxt, slots = tree
     w = words[-1]  # the one new word
@@ -399,7 +393,7 @@ def min_maximal(
         no_below = min_size
         exact = True
         if k == 2 and min_size < lower_bound(n):
-            raise SquareError(
+            raise SelfCheckError(
                 f"found a maximal square of size {min_size} below the proven "
                 f"bound {lower_bound(n)}; this indicates a search bug"
             )

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from mopls import KPartialSquare, Violation
 from mopls.core import _classify
-from mopls.maximality import _allowed, _least, maximalize
+from mopls.maximality import _allowed, _tuple_of_rank, maximalize
 
 DATA = Path(__file__).parent / "data"
 
@@ -109,10 +109,10 @@ def oracle_candidates(square: KPartialSquare, cell) -> list[tuple]:
 
 def oracle_find_extension(square: KPartialSquare):
     """(cell, entries) of the first extendable cell in row-major order with its
-    lex-least tuple, or None: the per-cell loop the vectorized scan replaced."""
+    lex-least tuple (rank 0), or None, testing one cell at a time."""
     table = square.projections().table
     for cell in square.empty_cells():
-        entries = _least(table, _allowed(table, square.n, square.k, cell))
+        entries = _tuple_of_rank(table, _allowed(table, square.n, square.k, cell), 0)
         if entries is not None:
             return cell, entries
     return None

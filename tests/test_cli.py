@@ -528,6 +528,15 @@ def test_text_grid_above_its_order_limit_is_an_unwritable_output(tmp_path, capsy
     assert not out.exists()
 
 
+def test_explicit_text_format_above_its_order_limit_fails_on_stdout_too(capsys):
+    assert main(["construct", "min-mopls", "--n", "39", "--format", "text"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: text grid supports n <= 35, got n=39; use JSON\n"
+    assert captured.out == ""
+    assert main(["construct", "min-mopls", "--n", "39"]) == 0  # auto falls back to JSON
+    assert json.loads(capsys.readouterr().out)["n"] == 39
+
+
 def test_construction_that_fails_its_own_check_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(construct, "is_maximal", lambda square: False)
     assert main(["construct", "min-mopls", "--n", "9"]) == 1

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from mopls import (
     SquareError,
 )
 from mopls.core import Projections, agreement_positions
+from mopls.verify import locate_min_frequency
 
 from conftest import oracle_candidates, oracle_valid, oracle_violations, partial_squares, raw_squares, square_with_empty_cell
 
@@ -80,6 +82,36 @@ def test_insert_latin_conflicts_classified():
         sq.insert((0, 1), (0, 1))  # repeats first-layer symbol in row 0
     with pytest.raises(LatinConflictError):
         sq.insert((1, 0), (1, 0))  # repeats second-layer symbol in col 0
+
+
+@pytest.mark.parametrize(
+    "k, cells, message",
+    [
+        (2, {(0, 0): (0, 5), (0, 1): (0, 6)}, "row 0: layer 1 repeats symbol 0 in cells (0, 0) and (0, 1)"),
+        (2, {(0, 0): (5, 0), (0, 1): (6, 0)}, "row 0: layer 2 repeats symbol 0 in cells (0, 0) and (0, 1)"),
+        (2, {(0, 3): (4, 1), (2, 3): (4, 7)}, "column 3: layer 1 repeats symbol 4 in cells (0, 3) and (2, 3)"),
+        (2, {(0, 3): (1, 4), (2, 3): (7, 4)}, "column 3: layer 2 repeats symbol 4 in cells (0, 3) and (2, 3)"),
+        (3, {(0, 3): (1, 2, 8), (2, 3): (4, 5, 8)}, "column 3: layer 3 repeats symbol 8 in cells (0, 3) and (2, 3)"),
+        # two layers repeat: the message names the first and its symbol
+        (3, {(1, 0): (2, 7, 5), (1, 4): (3, 7, 5)}, "row 1: layer 2 repeats symbol 7 in cells (1, 0) and (1, 4)"),
+    ],
+)
+def test_latin_conflict_names_the_repeating_layer_and_symbol(k, cells, message):
+    with pytest.raises(LatinConflictError) as caught:
+        KPartialSquare.from_cells(9, k, cells)
+    assert str(caught.value) == message
+
+
+def test_numpy_integer_values_validate_as_ints():
+    # 1 << np.int64(66) is 0, so unconverted values would index nothing
+    row0, row1 = ((r, np.int64(65)) for r in (0, 1))
+    entries = (np.int64(66),)
+    clash = "column 65: layer 1 repeats symbol 66"
+    with pytest.raises(LatinConflictError, match=clash):
+        KPartialSquare.from_cells(70, 1, {row0: entries, row1: entries})
+    first = KPartialSquare.empty(70, 1).insert(row0, entries)
+    with pytest.raises(LatinConflictError, match=clash):
+        first.insert(row1, entries)
 
 
 def test_insert_orthogonality_conflict_classified():
@@ -238,7 +270,7 @@ def test_frequencies_recount(square):
     assert [list(x) for x in prof.layer_counts] == layers
     assert prof.filled == square.filled_count
     everything = rows + cols + [x for layer in layers for x in layer]
-    assert prof.minimum == min(everything)
+    assert locate_min_frequency(square)[2] == min(everything)
 
 
 def test_repr_mentions_shape():

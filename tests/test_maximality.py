@@ -184,17 +184,22 @@ def test_every_rank_names_the_candidate_of_that_rank(square):
         masks = maximality._allowed(table, square.n, square.k, cell)
         count = maximality._count(table, masks, 0)
         assert count == len(listed)
-        assert [maximality._tuple_of_rank(table, masks, rank) for rank in range(count)] == listed
-        assert maximality._least(table, masks) == (listed[0] if listed else None)
+        assert [maximality._tuple_of_rank(table, masks, rank) for rank in range(count + 1)] == listed + [None]
 
 
 def test_maximalize_checks_its_fill_explicitly(monkeypatch):
     # lex takes each cell's first candidate, random counts them
-    monkeypatch.setattr(maximality, "_least", lambda *args: None)
+    monkeypatch.setattr(maximality, "_tuple_of_rank", lambda *args: None)
     monkeypatch.setattr(maximality, "_count", lambda *args: 0)
     for policy in ("lex", "random"):
         with pytest.raises(SelfCheckError, match="below the bound"):
             maximalize(KPartialSquare.empty(3, 2), policy, seed=1)
+
+
+def test_find_extension_checks_its_witness_tuple(monkeypatch):
+    monkeypatch.setattr(maximality, "_tuple_of_rank", lambda *args: None)
+    with pytest.raises(SelfCheckError, match=r"found cell \(0, 0\) extendable, but it admits no tuple"):
+        find_extension(KPartialSquare.empty(3, 2))
 
 
 def test_maximalize_rejects_unknown_policy():

@@ -16,7 +16,8 @@ from conftest import (
     write_half_then_fail,
 )
 from mopls import search
-from mopls.core import KPartialSquare, bits_above
+from mopls.cli import main
+from mopls.core import KPartialSquare, SelfCheckError, bits_above
 from mopls.formats import ParseError
 from mopls.maximality import is_maximal
 from mopls.search import is_canonical, min_maximal, verify_bound_exhaustive
@@ -209,6 +210,14 @@ def test_min_maximal_single_layer():
     result = min_maximal(2, k=1)
     assert result.min_size == 2
     assert result.nodes == 5
+
+
+def test_min_maximal_checks_its_minimum_against_the_bound(monkeypatch, capsys):
+    monkeypatch.setattr(search, "lower_bound", lambda n: n * n + 1)
+    with pytest.raises(SelfCheckError, match="size 2 below the proven bound 5"):
+        min_maximal(2)
+    assert main(["search", "min", "--n", "2"]) == 1
+    assert "this indicates a search bug" in capsys.readouterr().err
 
 
 def test_budget_interrupt_reports_partial_progress():
