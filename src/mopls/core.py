@@ -18,7 +18,7 @@ Squares are value-like: ``insert`` and ``remove`` return new squares and
 never mutate their input, so instances can be shared freely across
 threads or worker processes.  The only state a square gains is the
 :class:`Projections` index it validated with, kept lazily and then only
-read: ``insert`` checks the new word against it and copies it to the child.
+read: ``insert`` adds the new word to a copy of it, which the child keeps.
 
 Indices and symbols are 0-based throughout the API.  The text-grid format
 in :mod:`mopls.formats` is 1-based, matching the usual printed form.
@@ -190,14 +190,19 @@ class Projections:
         # (a, b, table[a][b]) for every a < b, walked as one flat loop per word
         self._pairs = [(a, b, self.table[a][b]) for a, b in combinations(range(width), 2)]
 
-    def add(self, word: Word) -> None:
-        """Record ``word`` in every projection."""
+    def add(self, word: Word) -> bool:
+        """Record ``word`` in every projection; True when it agrees with some
+        word recorded before in two coordinates."""
+        clash = False
         for a, b, column in self._pairs:
-            column[word[a]] |= 1 << word[b]
-
-    def clashes(self, word: Word) -> bool:
-        """True when ``word`` agrees with some recorded word in two coordinates."""
-        return any(column[word[a]] >> word[b] & 1 for a, b, column in self._pairs)
+            x = word[a]
+            seen = column[x]
+            bit = 1 << word[b]
+            if seen & bit:
+                clash = True
+            else:
+                column[x] = seen | bit
+        return clash
 
     def copy(self) -> "Projections":
         """An independent index of the same words."""
@@ -316,11 +321,11 @@ class KPartialSquare:
         entries = _as_tuple(entries)
         cells = {**self._cells, cell: entries}
         word, in_range = _integer_word(cell, entries, self.n, self.k)
-        if self._index is None or not in_range or self._index.clashes(word):
+        index = self._index.copy() if self._index is not None and in_range else None
+        if index is None or index.add(word):
             return KPartialSquare.from_cells(self.n, self.k, cells)
         child = KPartialSquare(self.n, self.k, cells)
-        child._index = self._index.copy()
-        child._index.add(word)
+        child._index = index
         return child
 
     def remove(self, cell: Cell) -> "KPartialSquare":
@@ -403,13 +408,11 @@ class KPartialSquare:
         index = None if violations else Projections(self.n, self.k + 2)
         clashes: list[tuple[int, int, Violation]] = []
         for j, (wj, cj) in enumerate(words):
-            if index is None or index.clashes(wj):
+            if index is None or index.add(wj):
                 for i, (wi, ci) in enumerate(words[:j]):
                     coords = agreement_positions(wi, wj)
                     if len(coords) >= 2:
                         clashes.append((i, j, _classify(wi, wj, ci, cj, coords)))
-            if index is not None:
-                index.add(wj)
         clashes.sort(key=lambda clash: clash[:2])
         violations.extend(v for _, _, v in clashes)
         self._index = None if violations else index

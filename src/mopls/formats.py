@@ -14,18 +14,22 @@ Two square formats:
   rejected before anything is built.
 
 :func:`load_square` is the one square reader: it tells JSON from a grid
-by a leading brace.  Both parsers re-validate the square on load, and
-every malformed, unreadable or undecodable input raises
-:class:`ParseError`.  :func:`save_square` is the one square writer and
-picks the format by suffix.  Squares, the CLI's other outputs, their
-manifests and search checkpoints are all written by :func:`write_atomic`,
-which replaces the target whole, and checkpoints are read by
-:func:`read_json`.
+by a leading brace.  Both parsers type-check the cells, hand them to the
+square without a second conversion and re-validate it, and every
+malformed, unreadable or undecodable input raises :class:`ParseError`.
+:func:`save_square` is the one square writer and picks the format by
+suffix.  :func:`to_json` fills a string template rather than running the
+pure-Python indented encoder; a test pins its output to the bytes of
+``json.dumps(json_document(square), indent=2)``.  Squares, the CLI's
+other outputs, their manifests and search checkpoints are all written by
+:func:`write_atomic`, which replaces the target whole, and checkpoints
+are read by :func:`read_json`.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 from itertools import chain
 from pathlib import Path
@@ -124,27 +128,38 @@ def from_text_grid(text: str, k: int | None = None) -> KPartialSquare:
     if seen_k > MAX_LAYERS:
         raise ParseError(f"layer count k={seen_k} exceeds the supported maximum {MAX_LAYERS}")
     try:
-        return KPartialSquare.from_cells(n, seen_k, cells)
+        square = KPartialSquare(n, seen_k, cells)
+        square.projections()  # validates
     except SquareError as exc:
         raise ParseError(f"grid is not a valid square: {exc}") from exc
+    return square
 
 
 def json_document(square: KPartialSquare) -> dict[str, Any]:
-    """The structured JSON document of a square, as :func:`to_json` writes it."""
+    """The structured JSON document of a square, as :func:`to_json` writes it:
+    every value a plain int, so a ``bool`` or numpy integer is written as a number."""
     return {
         "format": JSON_FORMAT,
         "version": JSON_VERSION,
-        "n": square.n,
-        "k": square.k,
+        "n": operator.index(square.n),
+        "k": operator.index(square.k),
         "cells": [
-            {"row": r, "col": c, "entries": list(square.entries_at((r, c)))}
-            for (r, c) in sorted(square.cells)
+            {"row": operator.index(r), "col": operator.index(c), "entries": list(map(operator.index, entries))}
+            for (r, c), entries in sorted(square.cells.items())
         ],
     }
 
 
 def to_json(square: KPartialSquare) -> str:
-    return json.dumps(json_document(square), indent=2) + "\n"
+    """``json.dumps(json_document(square), indent=2) + "\\n"``, byte for byte, from
+    a string template: one ``%d`` record per cell in sorted order."""
+    head = '{\n  "format": "%s",\n  "version": %d,\n  "n": %d,\n  "k": %d,\n  "cells": [' % (
+        JSON_FORMAT, JSON_VERSION, square.n, square.k,
+    )
+    entries = ",\n".join(["        %d"] * square.k)
+    record = '    {\n      "row": %d,\n      "col": %d,\n      "entries": [\n' + entries + "\n      ]\n    }"
+    body = ",\n".join([record % (cell + values) for cell, values in sorted(square.cells.items())])
+    return f"{head}\n{body}\n  ]\n}}\n" if body else f"{head}]\n}}\n"
 
 
 def from_json(text: str) -> KPartialSquare:
@@ -184,9 +199,11 @@ def from_json(text: str) -> KPartialSquare:
     if set(map(type, chain.from_iterable(cells.values()))) - {int}:
         raise ParseError("every entry must be an integer")
     try:
-        return KPartialSquare.from_cells(n, k, cells)
+        square = KPartialSquare(n, k, cells)
+        square.projections()  # validates
     except SquareError as exc:
         raise ParseError(f"document is not a valid square: {exc}") from exc
+    return square
 
 
 def write_atomic(path: Path, text: str) -> None:

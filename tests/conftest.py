@@ -79,6 +79,15 @@ def oracle_violations(square: KPartialSquare) -> tuple[Violation, ...]:
     return tuple(violations)
 
 
+def oracle_projection_table(words, n: int, width: int) -> list[list]:
+    """``Projections.table`` of ``words`` from its definition: entry [a][b][x],
+    a < b, has bit y set when some word w has w[a] = x and w[b] = y."""
+    table = [[None] * width for _ in range(width)]
+    for a, b in itertools.combinations(range(width), 2):
+        table[a][b] = [sum({1 << w[b] for w in words if w[a] == x}) for x in range(n)]
+    return table
+
+
 def oracle_candidates(square: KPartialSquare, cell) -> list[tuple]:
     """All entry tuples insertable at an empty cell, in lex order.
 
@@ -315,6 +324,30 @@ def raw_squares(draw, max_n=5, in_range=True):
     entries = length.flatmap(lambda m: st.tuples(*[value] * m))
     size = draw(st.integers(0, n * n))
     cells = draw(st.dictionaries(st.tuples(value, value), entries, min_size=size, max_size=size))
+    return KPartialSquare(n, k, cells)
+
+
+@st.composite
+def sparse_squares(draw, max_n=130, ks=(1, 2, 3, 4)):
+    """Valid squares of orders past one 64-bit mask limb: up to 24 drawn words,
+    each kept when it agrees with every kept word in at most one coordinate."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.sampled_from(ks))
+    kept: list[tuple] = []
+    for word in draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * (k + 2)), max_size=24)):
+        if all(oracle_agreements(word, other) <= 1 for other in kept):
+            kept.append(word)
+    return KPartialSquare(n, k, {w[:2]: w[2:] for w in kept})
+
+
+@st.composite
+def clashing_squares(draw, max_n=130, ks=(1, 2, 3, 4)):
+    """Cell maps over at most three drawn values, so that most words agree
+    with several others in two or more coordinates."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.sampled_from(ks))
+    value = st.sampled_from(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)))
+    cells = draw(st.dictionaries(st.tuples(value, value), st.tuples(*[value] * k), max_size=9))
     return KPartialSquare(n, k, cells)
 
 

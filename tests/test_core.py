@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mopls import (
@@ -13,7 +13,17 @@ from mopls import (
 from mopls.core import Projections, agreement_positions
 from mopls.verify import locate_min_frequency
 
-from conftest import oracle_candidates, oracle_valid, oracle_violations, partial_squares, raw_squares, square_with_empty_cell
+from conftest import (
+    clashing_squares,
+    oracle_candidates,
+    oracle_projection_table,
+    oracle_valid,
+    oracle_violations,
+    partial_squares,
+    raw_squares,
+    sparse_squares,
+    square_with_empty_cell,
+)
 
 
 def test_empty_square():
@@ -323,11 +333,20 @@ def test_validate_reports_unsortable_cells_without_raising(cells, kinds):
     assert [v.kind for v in KPartialSquare(3, 1, cells).validate().violations] == kinds
 
 
-@given(st.one_of(partial_squares(), raw_squares(), raw_squares(in_range=False)))
+@given(st.one_of(partial_squares(), raw_squares(), raw_squares(in_range=False), clashing_squares(), sparse_squares()))
+# the last word agrees in two coordinates with each of the three before it,
+# and symbol 66 lies in the second limb of a 64-bit mask
+@example(KPartialSquare(70, 2, {(0, 5): (1, 66), (1, 0): (2, 66), (2, 5): (2, 3), (3, 5): (2, 66)}))
 def test_validate_matches_the_pairwise_reference(square):
     report = square.validate()
     assert report.violations == oracle_violations(square)
     assert report.ok == (not report.violations)
+
+
+@given(sparse_squares())
+def test_validate_keeps_the_index_of_its_words(square):
+    table = square.projections().table
+    assert table == oracle_projection_table(square.words(), square.n, square.k + 2)
 
 
 @given(st.one_of(partial_squares(max_n=5), raw_squares()), st.data())

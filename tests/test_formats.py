@@ -2,6 +2,7 @@ import json
 import time
 from contextlib import suppress
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from mopls import (
 )
 from mopls.formats import MAX_LAYERS, MAX_ORDER, MAX_TEXT_ORDER, json_document
 
-from conftest import partial_squares
+from conftest import maximal_squares_with_holes, partial_squares
 
 
 @given(partial_squares(max_n=6))
@@ -32,6 +33,27 @@ def test_text_round_trip(square):
 def test_json_round_trip(square):
     back = from_json(to_json(square))
     assert back == square
+
+
+@given(st.one_of(maximal_squares_with_holes(max_n=12), partial_squares(max_n=12, ks=(1, 2, 3, 4))))
+@example(KPartialSquare.empty(1, 1))
+@example(KPartialSquare.empty(12, 4))
+def test_to_json_writes_the_bytes_of_json_dumps(square):
+    # the template writer is pinned to the standard encoder's indented output
+    assert to_json(square) == json.dumps(json_document(square), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", ["square.json", "square.txt"])
+def test_saved_squares_with_bool_and_numpy_values_reload(tmp_path, name):
+    square = KPartialSquare.from_cells(
+        3, 2, {(0, np.int64(1)): (True, np.int64(2)), (np.int64(2), 0): (np.int64(1), False)}
+    )
+    path = tmp_path / name
+    save_square(square, path)
+    back = load_square(path)
+    assert back == square
+    assert {type(x) for cell, entries in back.cells.items() for x in cell + entries} == {int}
+    assert {type(x) for record in json_document(square)["cells"] for x in record["entries"]} == {int}
 
 
 def test_text_grid_shape():

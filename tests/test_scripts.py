@@ -18,3 +18,37 @@ def test_find_ols_literals_gives_up_at_its_time_cap(tmp_path, capsys):
     assert script.main(["--orders", "10", "--out-dir", str(tmp_path), "--time-cap", "0"]) == 1
     assert "m=10: FAILED" in capsys.readouterr().out
     assert not any(tmp_path.iterdir())
+
+
+def _bench_run(value: float, attempted: int, failed: int) -> tuple[dict, dict]:
+    report = {"machine": {"python": "3.x"}}
+    metrics = {
+        metric: {"value": value, "unit": "u"}
+        for metric in ("round_s_p50", "round_s_tail", "setup_s", "peak_rss_mb")
+    }
+    return report, {"attempted": attempted, "failed": failed, "metrics": metrics}
+
+
+def test_bench_pairs_summarize_counts_wins_losses_and_quartiles():
+    script = _load("bench_pairs")
+    parent = [10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 12.0, 14.0]
+    change = [9.0, 9.0, 9.0, 9.0, 9.0, 9.0, 11.0, 10.0, 12.0, 12.0]  # 7 wins, 1 loss, 2 ties
+    runs = {
+        workload: {
+            "parent": [_bench_run(v, attempted=20, failed=i % 2) for i, v in enumerate(parent)],
+            "change": [_bench_run(v, attempted=21, failed=0) for v in change],
+        }
+        for workload in script.WORKLOADS
+    }
+    summary = script.summarize(runs, {"parent": "aaa", "change": "bbb"})
+    assert (summary["parent_sha"], summary["change_sha"]) == ("aaa", "bbb")
+    assert summary["host"]["python"] == "3.x"
+    entry = summary["workloads"]["certify"]
+    assert (entry["parent_attempted"], entry["parent_failed"]) == (200, 5)
+    assert (entry["change_attempted"], entry["change_failed"]) == (210, 0)
+    metric = entry["round_s_p50"]
+    assert metric["unit"] == "u"
+    assert (metric["change_wins"], metric["change_loses"]) == (7, 1)
+    assert metric["parent"] == {"median": 10.0, "q1": 10.0, "q3": 10.0, "runs": parent}
+    assert metric["change"] == {"median": 9.0, "q1": 9.0, "q3": 10.75, "runs": change}
+    assert metric["median_change_pct"] == -10.0
