@@ -108,7 +108,7 @@ def _json_default(value: Any) -> Any:
 
 
 def _emit(args: argparse.Namespace, report: Any, lines: list[str]) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(report, indent=2, default=_json_default))
     else:
         for line in lines:
@@ -116,7 +116,7 @@ def _emit(args: argparse.Namespace, report: Any, lines: list[str]) -> None:
 
 
 def _write_square(ctx: RunContext, args: argparse.Namespace, square: KPartialSquare) -> None:
-    fmt = getattr(args, "format", "auto") or "auto"
+    fmt = args.format
     if args.out:
         out = Path(args.out)
         save_square(square, out, fmt)
@@ -282,9 +282,6 @@ def cmd_code(ctx: RunContext, args: argparse.Namespace) -> int:
 def cmd_export(ctx: RunContext, args: argparse.Namespace) -> int:
     square = ctx.read_square(args.file)
     graph = complement(square)
-    if not args.out:
-        print("export graph requires --out", file=sys.stderr)
-        return EXIT_USAGE
     out = Path(args.out)
     if args.format == "edges":
         edges = [[a, b] for a, b in graph.to_edge_list()]

@@ -241,21 +241,23 @@ class ConstructionPlan:
         return sum(m * m for m in self.block_orders)
 
 
-def mopls_plan(n: int) -> ConstructionPlan:
-    """Three near-equal blocks; orders (s, s, s), (s, s, s+1) or (s, s+1, s+1)."""
+def _near_equal_plan(n: int, k: int) -> ConstructionPlan:
+    """k + 1 near-equal blocks in ascending order, empty ones dropped."""
     if n < 1:
         raise ConstructionError(f"order must be positive, got n={n}")
-    s, r = divmod(n, 3)
-    orders = {0: (s, s, s), 1: (s, s, s + 1), 2: (s, s + 1, s + 1)}[r]
-    return ConstructionPlan(n, 2, tuple(m for m in orders if m > 0))
+    s, r = divmod(n, k + 1)
+    orders = (s,) * (k + 1 - r) + (s + 1,) * r
+    return ConstructionPlan(n, k, tuple(m for m in orders if m > 0))
+
+
+def mopls_plan(n: int) -> ConstructionPlan:
+    """Three near-equal blocks; orders (s, s, s), (s, s, s+1) or (s, s+1, s+1)."""
+    return _near_equal_plan(n, 2)
 
 
 def mpls_plan(n: int) -> ConstructionPlan:
     """Two near-equal blocks of orders floor(n/2) and ceil(n/2)."""
-    if n < 1:
-        raise ConstructionError(f"order must be positive, got n={n}")
-    orders = (n // 2, n - n // 2)
-    return ConstructionPlan(n, 1, tuple(m for m in orders if m > 0))
+    return _near_equal_plan(n, 1)
 
 
 def k_mopls_diagonal(n: int, k: int, block_orders: tuple[int, ...] | list[int]) -> KPartialSquare:
@@ -282,16 +284,24 @@ def k_mopls_diagonal(n: int, k: int, block_orders: tuple[int, ...] | list[int]) 
     return KPartialSquare.from_cells(n, k, cells)
 
 
-def _check_minimum(square: KPartialSquare, plan: ConstructionPlan, least: int) -> None:
-    """Raise SelfCheckError unless ``square`` fills ``least`` cells, as its plan
-    says, and is maximal."""
+def _minimum(plan: ConstructionPlan, least: int) -> KPartialSquare:
+    """The diagonal blocks of ``plan``; raise SelfCheckError unless they fill
+    ``least`` cells, as the plan says, and form a maximal square."""
+    n = plan.n
+    try:
+        square = k_mopls_diagonal(n, plan.k, plan.block_orders)
+    except ConstructionError as exc:
+        raise ConstructionError(
+            f"minimum construction for n={n} needs blocks {plan.block_orders}: {exc}"
+        ) from exc
     if not square.filled_count == least == plan.filled:
         raise SelfCheckError(
-            f"order-{square.n} construction filled {square.filled_count} cells; "
+            f"order-{n} construction filled {square.filled_count} cells; "
             f"its plan fills {plan.filled} and the minimum is {least}"
         )
     if not is_maximal(square):
-        raise SelfCheckError(f"order-{square.n} construction is not maximal")
+        raise SelfCheckError(f"order-{n} construction is not maximal")
+    return square
 
 
 def min_mopls(n: int) -> KPartialSquare:
@@ -300,18 +310,11 @@ def min_mopls(n: int) -> KPartialSquare:
     No maximal orthogonal pair fills fewer cells, and for n >= 21 (and
     the orders below 16 this construction reaches) none fills fewer than
     this one, so the result attains the minimum there.  Orders whose
-    near-equal block split needs a nonexistent or unbundled orthogonal
-    pair (4..8 and 16..20) raise ConstructionError.
+    near-equal split needs a block of order 2 or 6 (no pair exists) or
+    14, 18, 22, ... (2 mod 4, none bundled) raise ConstructionError:
+    n = 4..8, 16..20 and 12j+4..12j+8 for every j >= 3 (40..44, ...).
     """
-    plan = mopls_plan(n)
-    try:
-        square = k_mopls_diagonal(n, 2, plan.block_orders)
-    except ConstructionError as exc:
-        raise ConstructionError(
-            f"minimum construction for n={n} needs blocks {plan.block_orders}: {exc}"
-        ) from exc
-    _check_minimum(square, plan, lower_bound(n))
-    return square
+    return _minimum(mopls_plan(n), lower_bound(n))
 
 
 def min_mpls(n: int) -> KPartialSquare:
@@ -320,7 +323,4 @@ def min_mpls(n: int) -> KPartialSquare:
     Two diagonal Latin blocks on complementary symbol ranges; this is the
     smallest possible fill for a maximal partial Latin square.
     """
-    plan = mpls_plan(n)
-    square = k_mopls_diagonal(n, 1, plan.block_orders)
-    _check_minimum(square, plan, ceil(n * n / 2))
-    return square
+    return _minimum(mpls_plan(n), ceil(n * n / 2))

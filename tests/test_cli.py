@@ -110,6 +110,17 @@ def test_verify_maximal_rejects_a_non_integer_field_as_malformed(tmp_path, capsy
     assert "n and k must be integers, got n=2.7" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("entry", ["true", "1.5"], ids=["bool", "float"])
+def test_verify_maximal_rejects_a_non_integer_entry_as_malformed(tmp_path, capsys, entry):
+    path = tmp_path / "entry.json"
+    path.write_text(
+        '{"format": "kpls", "version": 1, "n": 2, "k": 1, '
+        f'"cells": [{{"row": 0, "col": 0, "entries": [{entry}]}}]}}'
+    )
+    assert main(["verify", "maximal", str(path)]) == 3
+    assert "every entry must be an integer" in capsys.readouterr().out
+
+
 def test_verify_maximal_rejects_an_oversized_order_at_once(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text('{"format": "kpls", "version": 1, "n": 100000000, "k": 2, "cells": []}')
@@ -373,9 +384,13 @@ def _truncate(text):
     return text[: len(text) // 2]
 
 
+def _not_an_object(text):
+    return "[1, 2]"
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_drop_n, _index_out_of_range, _truncate],
-    ids=["missing-n", "index-out-of-range", "truncated"],
+    "corrupt", [_drop_n, _index_out_of_range, _truncate, _not_an_object],
+    ids=["missing-n", "index-out-of-range", "truncated", "not-an-object"],
 )
 def test_search_min_corrupt_checkpoint_is_malformed_input(tmp_path, capsys, corrupt):
     cp = tmp_path / "cp.json"

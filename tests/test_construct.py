@@ -167,6 +167,18 @@ def test_min_mopls_unreachable_orders_raise(n):
         min_mopls(n)
 
 
+def test_min_mopls_raises_exactly_where_a_block_has_no_pair_here():
+    # blocks of order 2 or 6 have no pair; blocks of order 14 or 18 (2 mod 4,
+    # above the bundled 10) have none bundled
+    raised = set()
+    for n in range(1, 61):
+        try:
+            min_mopls(n)
+        except ConstructionError:
+            raised.add(n)
+    assert raised == {*range(4, 9), *range(16, 21), *range(40, 45), *range(52, 57)}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 14])
 def test_min_mpls_fill_and_maximality(n):
     sq = min_mpls(n)

@@ -210,6 +210,24 @@ def test_json_fields_must_be_integers_not_values_that_convert(text):
         from_json(text)
 
 
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ([{"row": 0, "col": 0, "entries": [True]}], "every entry must be an integer"),
+        ([{"row": 0, "col": 0, "entries": [1.5]}], "every entry must be an integer"),
+        (
+            [{"row": 0, "col": 0, "entries": [0]}, {"row": 0, "col": 0, "entries": [1]}],
+            r"duplicate cell \(0, 0\)",
+        ),
+    ],
+    ids=["bool-entry", "float-entry", "duplicate-cell"],
+)
+def test_json_rejects_non_integer_entries_and_duplicate_cells(cells, message):
+    doc = {"format": "kpls", "version": 1, "n": 2, "k": 1, "cells": cells}
+    with pytest.raises(ParseError, match=message):
+        from_json(json.dumps(doc))
+
+
 def test_json_rejects_non_json():
     with pytest.raises(ParseError):
         from_json("{not json")

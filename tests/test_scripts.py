@@ -1,7 +1,10 @@
 """The offline scripts load and run under the supported Python versions."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -18,6 +21,46 @@ def test_find_ols_literals_gives_up_at_its_time_cap(tmp_path, capsys):
     assert script.main(["--orders", "10", "--out-dir", str(tmp_path), "--time-cap", "0"]) == 1
     assert "m=10: FAILED" in capsys.readouterr().out
     assert not any(tmp_path.iterdir())
+
+
+def test_find_ols_literals_refuses_orders_it_cannot_enumerate(tmp_path, capsys):
+    # order 14 would mean listing the transversals of a random order-14
+    # square; the script refuses at once instead of running to its cap
+    script = _load("find_ols_literals")
+    out_dir = tmp_path / "out"
+    assert script.main(["--orders", "14", "--out-dir", str(out_dir)]) == 1
+    assert "m=14: FAILED" in capsys.readouterr().out
+    assert not out_dir.exists()
+
+
+def _bundled_pair() -> tuple[list[list[int]], list[list[int]]]:
+    doc = json.loads((SCRIPTS.parent / "src" / "mopls" / "data" / "ols_10.json").read_text())
+    left = [[0] * doc["n"] for _ in range(doc["n"])]
+    mate = [[0] * doc["n"] for _ in range(doc["n"])]
+    for cell in doc["cells"]:
+        left[cell["row"]][cell["col"]], mate[cell["row"]][cell["col"]] = cell["entries"]
+    return left, mate
+
+
+def test_find_ols_literals_check_pair_accepts_the_bundled_pair():
+    _load("find_ols_literals").check_pair(*_bundled_pair())
+
+
+def test_find_ols_literals_check_pair_rejects_a_repeated_superimposed_pair():
+    script = _load("find_ols_literals")
+    left, _ = _bundled_pair()
+    # both squares are Latin, but superimposing a square on itself repeats
+    # each pair (s, s) ten times
+    with pytest.raises(ValueError, match="superimposed pairs not all distinct"):
+        script.check_pair(left, [row[:] for row in left])
+
+
+def test_find_ols_literals_check_pair_rejects_a_square_that_is_not_latin():
+    script = _load("find_ols_literals")
+    left, mate = _bundled_pair()
+    mate[3][5] = mate[3][4]
+    with pytest.raises(ValueError, match="row 3 not a permutation"):
+        script.check_pair(left, mate)
 
 
 def _bench_run(value: float, attempted: int, failed: int) -> tuple[dict, dict]:

@@ -302,6 +302,13 @@ def test_resume_rejects_a_too_deeply_nested_checkpoint(tmp_path):
         min_maximal(3, checkpoint=cp, resume=True)
 
 
+def test_resume_rejects_a_checkpoint_that_is_not_an_object(tmp_path):
+    cp = tmp_path / "level.json"
+    cp.write_text("[1, 2]")
+    with pytest.raises(ParseError, match="is not a JSON object"):
+        min_maximal(3, checkpoint=cp, resume=True)
+
+
 def test_resume_rejects_unknown_checkpoint_version(tmp_path):
     cp = tmp_path / "level.json"
     min_maximal(3, budget=4, checkpoint=cp)

@@ -1,16 +1,20 @@
 import ast
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "mopls").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "mopls").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_program_checks_do_not_use_assert():
     # `python -O` strips assert statements, so a run-time check written as
-    # one would silently stop checking; raise SelfCheckError instead
+    # one would silently stop checking; raise SelfCheckError instead (or, in
+    # a standalone script, an exception of its own)
     assert {"core.py", "graphview.py", "codes.py"} <= {path.name for path in SOURCES}
+    assert "find_ols_literals.py" in {path.name for path in SCRIPTS}
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
+        f"{path.parent.name}/{path.name}:{node.lineno}"
+        for path in SOURCES + SCRIPTS
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
