@@ -112,20 +112,13 @@ def partition_into_transversals(
     transversals: list[tuple[int, ...]],
     rng: random.Random,
     node_cap: int,
-    want: int | None = None,
 ) -> list[tuple[int, ...]] | None:
-    """Pick `want` pairwise disjoint transversals covering their cells exactly.
-
-    With the default want=m this partitions the whole square; smaller values
-    partition whatever cell set the given transversals live on.
-    """
-    if want is None:
-        want = m
+    """Pick m pairwise disjoint transversals, which partition the square's cells."""
     by_cell: dict[tuple[int, int], list[int]] = {}
     for idx, t in enumerate(transversals):
         for r, c in enumerate(t):
             by_cell.setdefault((r, c), []).append(idx)
-    if len(by_cell) < want * m:
+    if len(by_cell) < m * m:
         return None  # some target cell lies on no transversal
     chosen: list[int] = []
     covered: set[tuple[int, int]] = set()
@@ -136,7 +129,7 @@ def partition_into_transversals(
         nodes += 1
         if nodes > node_cap:
             raise Budget
-        if len(chosen) == want:
+        if len(chosen) == m:
             return True
         best_cell, best_opts = None, None
         for cell, idxs in by_cell.items():

@@ -16,7 +16,9 @@ Exit codes: 0 success; 1 a verification failed (or a built square or a
 printed certificate failed its own check); 2 usage error (including
 ``--n`` or ``--k`` below 1 or above :data:`mopls.formats.MAX_ORDER` or
 :data:`mopls.formats.MAX_LAYERS` on ``construct`` and ``search``, and a
-``--budget`` below 0), or an output file that cannot be written
+``--budget`` below 0, and an empty or missing ``--out`` on ``code
+export`` and ``export graph``; an empty ``--out`` elsewhere means stdout),
+or an output file that cannot be written
 (including a text grid above :data:`mopls.formats.MAX_TEXT_ORDER`); 3
 malformed input file or search checkpoint, including a missing
 checkpoint for ``--resume``; 4 parameters are infeasible (for example a
@@ -280,6 +282,9 @@ def cmd_code(ctx: RunContext, args: argparse.Namespace) -> int:
 
 
 def cmd_export(ctx: RunContext, args: argparse.Namespace) -> int:
+    if not args.out:
+        print("export graph requires --out", file=sys.stderr)
+        return EXIT_USAGE
     square = ctx.read_square(args.file)
     graph = complement(square)
     out = Path(args.out)

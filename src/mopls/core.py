@@ -28,14 +28,21 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import ceil
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 Cell = tuple[int, int]
 EntryTuple = tuple[int, ...]
 #: A filled cell flattened to (row, col, entry_1, ..., entry_k).
 Word = tuple[int, ...]
+
+#: ``validate`` builds the index from arrays when the bool grid of
+#: :meth:`Projections.fill` has at most this many cells (16 MB), and word by
+#: word otherwise.
+_GRID_LIMIT = 1 << 24
 
 
 class SquareError(ValueError):
@@ -112,6 +119,33 @@ def _integer_word(cell: object, entries: object, n: int, k: int) -> tuple[Word |
                 return None, False
             break
     return word, len(entries) == k and min(word) >= 0 and max(word) < n
+
+
+def _word_array(cells: Mapping[Cell, EntryTuple], n: int, k: int) -> np.ndarray | None:
+    """The words of a non-empty cell map as one (F, k + 2) int64 array when
+    every cell is a 2-tuple and every entry tuple a k-tuple, all of plain
+    ints (not ``bool``) in 0..n-1; else None.
+
+    The type and length checks each run as one ``set(map(...))`` pass.
+    """
+    keys, values = cells.keys(), cells.values()
+    if (
+        not cells
+        or set(map(type, chain(keys, values))) != {tuple}
+        or set(map(len, keys)) != {2}
+        or set(map(len, values)) != {k}
+    ):
+        return None
+    flat = list(chain.from_iterable(chain(keys, values)))  # every cell, then every entry tuple
+    if set(map(type, flat)) != {int}:
+        return None
+    try:
+        flat = np.array(flat, dtype=np.int64)
+    except OverflowError:  # a plain int past int64 is out of range
+        return None
+    if flat.min() < 0 or flat.max() >= n:
+        return None
+    return np.concatenate((flat[:2 * len(cells)].reshape(-1, 2), flat[2 * len(cells):].reshape(-1, k)), axis=1)
 
 
 @dataclass(frozen=True)
@@ -203,6 +237,31 @@ class Projections:
             else:
                 column[x] = seen | bit
         return clash
+
+    def fill(self, words: np.ndarray) -> bool:
+        """Record every row of ``words``, an (F, width) int array of values in
+        0..n-1, into this empty index; False, recording nothing, when two
+        rows share the value pair of some coordinate pair.
+
+        A fixed number of numpy calls whatever F is: one scatter into a
+        (pairs, n, 64 * limbs) bool grid, one count (a pair's grid holds fewer
+        than F cells exactly when two words share a value pair there), one
+        ``packbits`` into little-endian 64-bit limbs, read back with one
+        ``tolist`` per limb.
+        """
+        n = len(self.table[0][1])
+        a, b = zip(*((a, b) for a, b, _ in self._pairs))
+        grid = np.zeros((len(a), n, 64 * -(-n // 64)), dtype=bool)
+        grid[np.arange(len(a)), words[:, a], words[:, b]] = True
+        if np.count_nonzero(grid) < len(a) * len(words):
+            return False
+        limbs = np.packbits(grid, axis=2, bitorder="little").view("<u8").reshape(len(a) * n, -1)
+        masks = limbs[:, -1].tolist()
+        for j in range(limbs.shape[1] - 2, -1, -1):
+            masks = [high << 64 | low for high, low in zip(masks, limbs[:, j].tolist())]
+        for p, (_, _, column) in enumerate(self._pairs):
+            column[:] = masks[p * n:(p + 1) * n]
+        return True
 
     def copy(self) -> "Projections":
         """An independent index of the same words."""
@@ -390,7 +449,22 @@ class KPartialSquare:
     # -- validation and accounting -------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check both invariants; report-valued, never raises.  Keeps the index if valid."""
+        """Check both invariants; report-valued, never raises.  Keeps the index if valid.
+
+        A map of in-range plain-int words whose grid fits ``_GRID_LIMIT`` is
+        checked by :meth:`Projections.fill` from one array; if it holds a
+        clash, and for any other map, every word is added to the index in
+        sorted order, and a word that clashes is compared with the earlier
+        ones to name the violations.
+        """
+        width = self.k + 2
+        grid = width * (width - 1) // 2 * self.n * 64 * -(-self.n // 64)
+        array = _word_array(self._cells, self.n, self.k) if grid <= _GRID_LIMIT else None
+        if array is not None:
+            index = Projections(self.n, width)
+            if index.fill(array):
+                self._index = index
+                return ValidationReport(ok=True, violations=())
         violations: list[Violation] = []
         words = []
         for cell, entries in self._cells.items():
@@ -405,7 +479,7 @@ class KPartialSquare:
         # only a word that clashes with the index is compared with the earlier
         # words, to name the other cell; out-of-range values cannot be bits,
         # so then every word is compared
-        index = None if violations else Projections(self.n, self.k + 2)
+        index = None if violations else Projections(self.n, width)
         clashes: list[tuple[int, int, Violation]] = []
         for j, (wj, cj) in enumerate(words):
             if index is None or index.add(wj):

@@ -24,13 +24,20 @@ allowed-symbol masks; then a frontier of (cell, layer masks) rows is
 expanded one layer at a time: every set bit of the current layer's mask
 becomes a row whose later masks lose the symbols that the layer-pair
 projections pair with that value, and rows with an empty mask are
-dropped.  A cell is extendable when a row of it survives the last layer.
+dropped.  A cell is extendable when a row of it survives the last layer,
+and that depends only on its starting masks, since the layer-pair
+projections are shared by all cells.  So in each band of grid rows the
+empty cells are grouped into classes of equal starting masks, one
+``np.unique`` over a byte-string key per cell, and only the first cell
+of each class enters the frontier, with its own index as owner: a
+block-diagonal square has a handful of classes however large n is.
 The frontier is walked depth first in slices: a band of grid rows at a
 time, then at each layer as many rows as expand to about
 ``_FRONTIER_WORDS`` mask words (at least one row), so the arrays alive
 at once stay a few MB per layer whatever n and k are.  Rows stay in
 row-major cell order, so the first surviving row names the first
-extendable cell and the scan stops there.  The witness tuple is the
+extendable cell (the first of its class is the first of all its cells)
+and the scan stops there.  The witness tuple is the
 lex-least one at that cell, rank 0 of ``_tuple_of_rank``.  It is still a
 per-cell candidate test, independent of the clique search in
 :mod:`mopls.graphview` and the covering radius in :mod:`mopls.codes`.
@@ -182,7 +189,12 @@ def find_extension(square: KPartialSquare) -> ExtensionWitness | None:
     for top in range(0, n, height):
         rows, cols = np.nonzero(~filled[top:top + height])
         rows += top
-        found = first_survivor(0, np.arange(len(rows)), row_free[rows] & col_free[cols])
+        masks = row_free[rows] & col_free[cols]
+        # a cell survives exactly when the first cell with the same masks does,
+        # so only the first cell of each class is expanded
+        keys = masks.reshape(len(rows), k * words).view(np.dtype((np.void, 8 * k * words)))[:, 0]
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        found = first_survivor(0, first, masks[first])
         if found is not None:
             cell = (int(rows[found]), int(cols[found]))
             entries = _tuple_of_rank(table, _allowed(table, n, k, cell), 0)

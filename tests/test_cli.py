@@ -457,6 +457,26 @@ def test_code_export_requires_out(square_file, capsys):
     assert main(["code", "export", str(square_file)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "min-mopls", "--n", "9"],
+    ["search", "min", "--n", "2"],
+])
+def test_empty_out_prints_to_stdout(argv, tmp_path, monkeypatch, capsys):
+    # an empty --out is no --out: the same output, and no file written
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    assert main(argv + ["--out", ""]) == 0
+    assert capsys.readouterr() == expected
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["code", "export"], ["export", "graph"]])
+def test_empty_out_is_a_missing_out(command, square_file, capsys):
+    assert main(command + [str(square_file), "--out", ""]) == 2
+    assert capsys.readouterr().err == f"{' '.join(command)} requires --out\n"
+
+
 def test_export_graph_dot(square_file, tmp_path, capsys):
     out = tmp_path / "graph.dot"
     assert main(["export", "graph", str(square_file), "--out", str(out)]) == 0

@@ -1,6 +1,7 @@
 """Tests for the code view of squares and the distance/radius computations."""
 
-from itertools import product
+import time
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from conftest import (
     oracle_min_distance,
     partial_squares,
 )
+from mopls import codes
 from mopls.codes import (
     Code,
     WORD_SPACE_LIMIT,
@@ -57,6 +59,58 @@ def test_min_distance_matches_brute_force(square):
     assert min_distance(code) == oracle_min_distance(code.words)
 
 
+@st.composite
+def codes_with_shared_pairs(draw):
+    """Random codes over small or large alphabets whose letters mostly come
+    from a pool of at most three values, so that words often agree in two
+    or more coordinates and runs of several words share one value pair."""
+    length = draw(st.integers(1, 6))
+    alphabet = draw(st.sampled_from([2, 3, 7, 2**16 + 1, 2**40]))
+    pool = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=3))
+    letter = st.one_of(st.sampled_from(pool), st.integers(0, alphabet - 1))
+    words = draw(st.lists(st.tuples(*[letter] * length), min_size=2, max_size=40, unique=True))
+    return Code(alphabet, length, tuple(sorted(words)))
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 20])
+@given(code=codes_with_shared_pairs())
+def test_min_distance_matches_the_pairwise_reference_on_random_codes(block, code):
+    # a small block splits the coordinate pairs and the compared words into many blocks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes, "_DISTANCE_BLOCK", block)
+        assert min_distance(code) == oracle_min_distance(code.words)
+
+
+@pytest.mark.parametrize(
+    "words, distance",
+    [
+        (((0, 0, 1, 2), (0, 0, 2, 1), (0, 0, 3, 3)), 2),  # three words share one pair
+        (((0, 0, 1, 2), (0, 0, 2, 1), (0, 0, 3, 2), (0, 0, 4, 4)), 1),  # agreeing in three
+        (((5, 9, 1, 0), (5, 9, 1, 1), (0, 0, 0, 0)), 1),
+        (((0, 1, 2, 3), (0, 2, 3, 1), (1, 1, 0, 0)), 3),  # no pair repeats, one coordinate does
+        (((0, 1, 2, 3), (1, 2, 3, 0)), 4),
+        (((2**17, 0, 1), (2**17, 0, 2), (2**17 + 1, 0, 1)), 1),
+    ],
+)
+def test_min_distance_of_words_sharing_pairs(words, distance):
+    assert min_distance(Code(2**17 + 2, len(words[0]), tuple(sorted(words)))) == distance
+    assert oracle_min_distance(words) == distance
+
+
+def test_min_distance_compares_words_apart_in_their_run():
+    # (0, 1, 1, 1, 1) and (2, 1, 1, 1, 1) agree in four coordinates, but for
+    # every coordinate pair they share, a word between them in word order
+    # shares it too, and agrees with each of them in two coordinates only;
+    # runs keep word order, so the two are two places apart in every run
+    middle = []
+    for p, q in combinations(range(1, 5), 2):
+        word = [1] + [10 + len(middle) * 4 + i for i in range(4)]
+        word[p] = word[q] = 1
+        middle.append(tuple(word))
+    words = tuple(sorted([(0, 1, 1, 1, 1), (2, 1, 1, 1, 1), *middle]))
+    assert min_distance(Code(40, 5, words)) == oracle_min_distance(words) == 1
+
+
 def test_min_distance_needs_two_codewords():
     with pytest.raises(ValueError):
         min_distance(Code(2, 3, ((0, 0, 0),)))
@@ -68,8 +122,12 @@ def test_min_distance_on_a_code_larger_than_one_block():
 
 
 def test_min_distance_counts_past_one_byte():
-    # words longer than 255 letters: a uint8 count would wrap
+    # words longer than 255 letters: a uint8 count would wrap, and the
+    # 44850 coordinate pairs must not each cost a sort of their own
+    started = time.perf_counter()
     assert min_distance(Code(2, 300, ((0,) * 300, (1,) * 300))) == 300
+    assert min_distance(Code(2, 300, ((0,) * 300, (0,) * 299 + (1,)))) == 1
+    assert time.perf_counter() - started < 1.0
 
 
 def test_square_codes_have_distance_above_layer_count():

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -9,8 +11,11 @@ from mopls import (
     LatinConflictError,
     OrthogonalityConflictError,
     SquareError,
+    Violation,
 )
+from mopls import core
 from mopls.core import Projections, agreement_positions
+from mopls.maximality import maximalize
 from mopls.verify import locate_min_frequency
 
 from conftest import (
@@ -347,6 +352,85 @@ def test_validate_matches_the_pairwise_reference(square):
 def test_validate_keeps_the_index_of_its_words(square):
     table = square.projections().table
     assert table == oracle_projection_table(square.words(), square.n, square.k + 2)
+
+
+def _random_valid_square(n, k, seed):
+    """Up to 60 random words kept while each agrees with every kept word in
+    at most one coordinate, or, for small orders, a random maximal square."""
+    rng = random.Random(seed)
+    if n * n * k <= 65 * 65 * 2 and seed % 2:
+        return maximalize(KPartialSquare.empty(n, k), policy="random", seed=seed)
+    kept = []
+    for _ in range(60):
+        word = tuple(rng.randrange(n) for _ in range(k + 2))
+        if all(sum(x == y for x, y in zip(word, other)) <= 1 for other in kept):
+            kept.append(word)
+    return KPartialSquare(n, k, {w[:2]: w[2:] for w in kept})
+
+
+def _must_not_add(self, word):
+    raise AssertionError("Projections.add called")
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_array_built_index_matches_its_definition(n, k):
+    # n = 63, 64 and 65 sit at a mask's 64-bit limb edge, 129 spans three limbs
+    for seed in range(4):
+        square = _random_valid_square(n, k, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            if square.cells:  # a non-empty map of plain ints takes the array path
+                patch.setattr(Projections, "add", _must_not_add)
+            assert square.validate() == core.ValidationReport(ok=True, violations=())
+        table = square.projections().table
+        assert table == oracle_projection_table(square.words(), n, k + 2)
+
+
+@given(st.one_of(sparse_squares(), partial_squares()))
+def test_the_index_above_the_grid_limit_is_built_word_by_word(square):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_GRID_LIMIT", 0)
+        assert square.validate().ok
+    assert square.projections().table == oracle_projection_table(square.words(), square.n, square.k + 2)
+
+
+@pytest.mark.parametrize(
+    "k, cells",
+    [
+        (1, {(0, 0): (True,), (1, 1): (False,)}),
+        (1, {(0, True): (1,), (1, 0): (True,)}),  # (1, 0) and (0, 1) repeat symbol 1 in column 1
+        (2, {(np.int64(0), 0): (1, 2), (1, np.int32(1)): (np.uint8(2), 0)}),
+        (2, {(0, 0): (np.int64(1), 2), (0, 1): (np.int64(1), 0)}),
+        (2, {(0, 0): (1, 3)}),
+        (2, {(0, 0): (1, -1), (1, 1): (0, 0)}),
+        (2, {(0, 0): (1, 2**70)}),
+        (2, {(0, 0): (1,), (1, 1): (0, 0)}),
+        (2, {(0, 0): (1, 2, 0), (1, 1): (0, 0)}),
+        (2, {(0, 0): (1, 2), (0, 1): (1, 0)}),  # row 0 repeats symbol 1
+        (2, {(0, 0): (1, 2), (1, 0): (0, 2)}),  # column 0 repeats symbol 2
+        (2, {(0, 0): (1, 2), (1, 1): (1, 2), (2, 2): (0, 0)}),  # an orthogonal pair repeats
+        (3, {(0, 0): (0, 1, 2), (1, 2): (1, 1, 2), (2, 1): (2, 1, 2)}),  # three words share one pair
+    ],
+)
+def test_validate_reports_every_input_as_the_pairwise_reference(k, cells):
+    square = KPartialSquare(3, k, cells)
+    report = square.validate()
+    assert report.violations == oracle_violations(square)
+    assert report.ok == (not report.violations)
+    if report.ok:
+        assert square.projections().table == oracle_projection_table(square.words(), 3, k + 2)
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [{(0, 0): [1, 2], (1, 1): (0, 0)}, {(0, 0): (1.0, 2), (1, 1): (0, 0)}, {(0, 0, 0): (1, 2), (1, 1): (0, 0)}],
+    ids=["entries-a-list", "a-float-entry", "a-three-tuple-cell"],
+)
+def test_validate_reports_a_non_integer_word_as_out_of_range(cells):
+    first = next(iter(cells))
+    assert KPartialSquare(3, 2, cells).validate().violations == (
+        Violation("range", (first,), (), f"cell {first} -> {cells[first]} out of range"),
+    )
 
 
 @given(st.one_of(partial_squares(max_n=5), raw_squares()), st.data())

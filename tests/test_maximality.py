@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import permutations
 
@@ -59,6 +60,45 @@ def test_find_extension_matches_the_reference_across_mask_words(blocks):
     for case in cases:
         assert _witness(case) == oracle_find_extension(case)
     assert _witness(square) is None
+
+
+def _shuffled(square, seed):
+    """A seeded relabeling of ``square`` and a seeded coordinate conjugate of it."""
+    rng = random.Random(seed)
+    n, width = square.n, square.k + 2
+    relabeled = square.relabel(*(rng.sample(range(n), n) for _ in range(2)),
+                               [rng.sample(range(n), n) for _ in range(square.k)])
+    return relabeled.conjugate(tuple(rng.sample(range(width), width)))
+
+
+@pytest.mark.parametrize(
+    "square",
+    [min_mopls(30), k_mopls_diagonal(8, 1, (4, 4)), k_mopls_diagonal(16, 3, (4, 4, 4, 4)),
+     k_mopls_diagonal(15, 4, (5, 5, 5))],
+    ids=["min-mopls-30", "k1", "k3", "k4"],
+)
+def test_find_extension_matches_the_reference_on_shuffled_block_squares(square):
+    # block-diagonal squares have the largest classes of cells with equal masks;
+    # relabeling and conjugating scatter each class over the grid
+    for seed in range(6):
+        shuffled = _shuffled(square, seed)
+        assert _witness(shuffled) is None
+        holes = random.Random(seed).sample(sorted(shuffled.cells), 1 + seed % 3)
+        holed = KPartialSquare(shuffled.n, shuffled.k, {
+            cell: entries for cell, entries in shuffled.cells.items() if cell not in holes
+        })
+        assert _witness(holed) == oracle_find_extension(holed)
+
+
+def test_find_extension_matches_the_reference_across_row_slabs():
+    # at n = 300 a row slab holds 87 rows, so each class of equal cells spans
+    # four slabs; a hole in the first block is the first extendable cell, here
+    # the first cell of the second slab
+    square = min_mopls(300)
+    assert _witness(square) is None
+    holed = square.remove((87, 0))
+    assert _witness(holed) == oracle_find_extension(holed)
+    assert _witness(holed)[0] == (87, 0)
 
 
 @pytest.mark.parametrize("n, k", [(300, 3), (300, 4), (2000, 2)])
