@@ -95,8 +95,9 @@ def min_distance(code: Code) -> int:
         raise ValueError(f"minimum distance needs at least 2 codewords, have {len(code.words)}")
     values = np.array(code.words)
     size, length = values.shape
-    # ranks[w, p]: the rank of word w's letter p among the distinct letters at p
-    order = np.argsort(values, axis=0)
+    # ranks[w, p]: the rank of word w's letter p among the distinct letters at
+    # p; stable like the key sort below, so one sort routine is paged in
+    order = np.argsort(values, axis=0, kind="stable")
     rising = np.diff(np.take_along_axis(values, order, axis=0), axis=0) != 0
     ranks = np.zeros((size, length), dtype=np.int64)
     np.put_along_axis(ranks, order[1:], np.cumsum(rising, axis=0), axis=0)
