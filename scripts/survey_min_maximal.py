@@ -79,7 +79,11 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
     print(f"{'n':>3} {'min F':>6} {'bound':>6} {'exact':>6} {'nodes':>10} {'sec':>8}  notes")
     for n in range(args.min_n, args.max_n + 1):
-        row = survey_order(n, args.k, args.budget, args.checkpoint_dir)
+        try:
+            row = survey_order(n, args.k, args.budget, args.checkpoint_dir)
+        except ValueError as exc:  # an order below 1 or above the search's word table limit
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         rows.append(row)
         notes = []
         if "histogram" in row:

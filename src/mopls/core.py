@@ -39,10 +39,9 @@ EntryTuple = tuple[int, ...]
 #: A filled cell flattened to (row, col, entry_1, ..., entry_k).
 Word = tuple[int, ...]
 
-#: ``validate`` builds the index from arrays when the bool grid of
-#: :meth:`Projections.fill` has at most this many cells (16 MB), and word by
-#: word otherwise.
-_GRID_LIMIT = 1 << 24
+#: :meth:`Projections.fill` scatters at most this many bool cells (16 MB) at once,
+#: at least one coordinate pair: all pairs at once for k = 2 up to n = 1664.
+_FILL_CELLS = 1 << 24
 
 
 class SquareError(ValueError):
@@ -122,30 +121,29 @@ def _integer_word(cell: object, entries: object, n: int, k: int) -> tuple[Word |
 
 
 def _word_array(cells: Mapping[Cell, EntryTuple], n: int, k: int) -> np.ndarray | None:
-    """The words of a non-empty cell map as one (F, k + 2) int64 array when
-    every cell is a 2-tuple and every entry tuple a k-tuple, all of plain
-    ints (not ``bool``) in 0..n-1; else None.
+    """The words of a cell map, in map order, as one (F, k + 2) int64 array
+    when every cell is a 2-tuple and every entry tuple a k-tuple, all of
+    integers (plain, ``bool`` or numpy: dtype kind ``"iub"``) in 0..n-1; else None.
 
     The type and length checks each run as one ``set(map(...))`` pass.
     """
     keys, values = cells.keys(), cells.values()
+    if not cells:
+        return np.empty((0, k + 2), dtype=np.int64)
     if (
-        not cells
-        or set(map(type, chain(keys, values))) != {tuple}
+        set(map(type, chain(keys, values))) != {tuple}
         or set(map(len, keys)) != {2}
         or set(map(len, values)) != {k}
     ):
         return None
-    flat = list(chain.from_iterable(chain(keys, values)))  # every cell, then every entry tuple
-    if set(map(type, flat)) != {int}:
+    try:  # every cell, then every entry tuple
+        flat = np.array(list(chain.from_iterable(chain(keys, values))))
+    except ValueError:  # a value that is itself a sequence
         return None
-    try:
-        flat = np.array(flat, dtype=np.int64)
-    except OverflowError:  # a plain int past int64 is out of range
+    if flat.ndim != 1 or flat.dtype.kind not in "iub" or flat.min() < 0 or flat.max() >= n:
         return None
-    if flat.min() < 0 or flat.max() >= n:
-        return None
-    return np.concatenate((flat[:2 * len(cells)].reshape(-1, 2), flat[2 * len(cells):].reshape(-1, k)), axis=1)
+    cut = 2 * len(cells)
+    return np.concatenate((flat[:cut].reshape(-1, 2), flat[cut:].reshape(-1, k)), axis=1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -243,22 +241,28 @@ class Projections:
         0..n-1, into this empty index; False, recording nothing, when two
         rows share the value pair of some coordinate pair.
 
-        A fixed number of numpy calls whatever F is: one scatter into a
-        (pairs, n, 64 * limbs) bool grid, one count (a pair's grid holds fewer
-        than F cells exactly when two words share a value pair there), one
+        A fixed number of numpy calls per slice of coordinate pairs, whatever
+        F is: one scatter into a (pairs, n, 64 * limbs) bool grid of at most
+        ``_FILL_CELLS`` cells, one count (a pair's grid holds fewer than F
+        cells exactly when two words share a value pair there), one
         ``packbits`` into little-endian 64-bit limbs, read back with one
         ``tolist`` per limb.
         """
         n = len(self.table[0][1])
-        a, b = zip(*((a, b) for a, b, _ in self._pairs))
-        grid = np.zeros((len(a), n, 64 * -(-n // 64)), dtype=bool)
-        grid[np.arange(len(a)), words[:, a], words[:, b]] = True
-        if np.count_nonzero(grid) < len(a) * len(words):
-            return False
-        limbs = np.packbits(grid, axis=2, bitorder="little").view("<u8").reshape(len(a) * n, -1)
-        masks = limbs[:, -1].tolist()
-        for j in range(limbs.shape[1] - 2, -1, -1):
-            masks = [high << 64 | low for high, low in zip(masks, limbs[:, j].tolist())]
+        row = 64 * -(-n // 64)
+        step = max(1, _FILL_CELLS // (n * row))
+        masks: list[int] = []
+        for start in range(0, len(self._pairs), step):
+            a, b, _ = zip(*self._pairs[start:start + step])
+            grid = np.zeros((len(a), n, row), dtype=bool)
+            grid[np.arange(len(a)), words[:, a], words[:, b]] = True
+            if np.count_nonzero(grid) < len(a) * len(words):
+                return False
+            limbs = np.packbits(grid, axis=2, bitorder="little").view("<u8").reshape(len(a) * n, -1)
+            part = limbs[:, -1].tolist()
+            for j in range(limbs.shape[1] - 2, -1, -1):
+                part = [high << 64 | low for high, low in zip(part, limbs[:, j].tolist())]
+            masks += part
         for p, (_, _, column) in enumerate(self._pairs):
             column[:] = masks[p * n:(p + 1) * n]
         return True
@@ -451,45 +455,40 @@ class KPartialSquare:
     def validate(self) -> ValidationReport:
         """Check both invariants; report-valued, never raises.  Keeps the index if valid.
 
-        A map of in-range plain-int words whose grid fits ``_GRID_LIMIT`` is
-        checked by :meth:`Projections.fill` from one array; if it holds a
-        clash, and for any other map, every word is added to the index in
-        sorted order, and a word that clashes is compared with the earlier
-        ones to name the violations.
+        Only :meth:`Projections.fill` builds the index, from :func:`_word_array`'s
+        array or, when that gives up, from the words of one per-cell pass that
+        names every range violation.  Clashes are named in sorted word order: a
+        word is compared with the earlier ones when adding it to the empty index
+        clashes, or always after a range violation, as such values are no bits.
         """
-        width = self.k + 2
-        grid = width * (width - 1) // 2 * self.n * 64 * -(-self.n // 64)
-        array = _word_array(self._cells, self.n, self.k) if grid <= _GRID_LIMIT else None
+        n, k = self.n, self.k
+        violations: list[Violation] = []
+        index = Projections(n, k + 2)
+        array = _word_array(self._cells, n, k)
+        if array is None:
+            words = []
+            for cell, entries in self._cells.items():
+                word, in_range = _integer_word(cell, entries, n, k)
+                if not in_range:
+                    violations.append(Violation("range", (cell,), (), f"cell {cell} -> {entries} out of range"))
+                if word is not None:
+                    words.append((word, cell))
+            array = None if violations else np.array([w for w, _ in words], dtype=np.int64)
         if array is not None:
-            index = Projections(self.n, width)
             if index.fill(array):
                 self._index = index
                 return ValidationReport(ok=True, violations=())
-        violations: list[Violation] = []
-        words = []
-        for cell, entries in self._cells.items():
-            word, in_range = _integer_word(cell, entries, self.n, self.k)
-            if not in_range:
-                violations.append(
-                    Violation("range", (cell,), (), f"cell {cell} -> {entries} out of range")
-                )
-            if word is not None:
-                words.append((word, cell))
+            words = list(zip(map(tuple, array.tolist()), self._cells))
         words.sort()
-        # only a word that clashes with the index is compared with the earlier
-        # words, to name the other cell; out-of-range values cannot be bits,
-        # so then every word is compared
-        index = None if violations else Projections(self.n, width)
         clashes: list[tuple[int, int, Violation]] = []
         for j, (wj, cj) in enumerate(words):
-            if index is None or index.add(wj):
+            if violations or index.add(wj):
                 for i, (wi, ci) in enumerate(words[:j]):
                     coords = agreement_positions(wi, wj)
                     if len(coords) >= 2:
                         clashes.append((i, j, _classify(wi, wj, ci, cj, coords)))
         clashes.sort(key=lambda clash: clash[:2])
         violations.extend(v for _, _, v in clashes)
-        self._index = None if violations else index
         return ValidationReport(ok=not violations, violations=tuple(violations))
 
     def frequencies(self) -> FrequencyProfile:

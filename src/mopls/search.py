@@ -60,11 +60,21 @@ from .formats import ParseError, read_json, write_atomic
 
 CHECKPOINT_VERSION = 1
 
+#: The most words a search's word table holds: its compatibility masks take
+#: one bit per pair of words, 12.5 MB here.  Every order up to 10 fits for
+#: k = 2, and up to 6 for k = 3.
+WORD_TABLE_LIMIT = 10**4
+
 
 def _word_table(n: int, k: int) -> list[Word]:
-    """Every word of order n, in lexicographic order; raises ValueError for n < 1."""
+    """Every word of order n, in lexicographic order; raises ValueError for
+    n < 1 or more than ``WORD_TABLE_LIMIT`` words."""
     if n < 1:
         raise ValueError(f"order must be positive, got n={n}")
+    if n ** (k + 2) > WORD_TABLE_LIMIT:
+        raise ValueError(
+            f"order {n} with k={k} has {n}^{k + 2} words; a search holds at most {WORD_TABLE_LIMIT}"
+        )
     return list(product(range(n), repeat=k + 2))
 
 
@@ -332,14 +342,18 @@ def _load_checkpoint(path: Path, n: int, k: int, compat: list[int]):
         raise ParseError(
             f"checkpoint is for n={doc['n']}, k={doc['k']}, not n={n}, k={k}"
         )
-    queue = []
+    level, queue = doc["level"], []
     full = (1 << len(compat)) - 1
     for indices in raw_queue:
+        if len(indices) != level or sorted(set(indices)) != indices:
+            raise ParseError(f"checkpoint {path} queue entry {indices} is not {level} ascending word indices")
         mask = full
         for i in indices:
+            if not mask >> i & 1:
+                raise ParseError(f"checkpoint {path} queue entry {indices}: word {i} clashes with an earlier word")
             mask &= compat[i]
         queue.append((tuple(indices), mask))
-    return doc["level"], queue, doc["nodes"]
+    return level, queue, doc["nodes"]
 
 
 def min_maximal(
@@ -357,7 +371,7 @@ def min_maximal(
     exhausted the result reports the proven bound so far.  ``checkpoint``
     names a JSON file written at each completed level; with ``resume``
     the run restarts from the last completed level in that file.
-    Raises ValueError for n < 1.
+    Raises ValueError for n < 1 or a word table above ``WORD_TABLE_LIMIT``.
     """
     table = _word_table(n, k)
     compat = _compat_masks(table)
@@ -441,7 +455,7 @@ def verify_bound_exhaustive(n: int, k: int = 2) -> ExhaustiveReport:
     fewer than ceil(n^2 / 3) cells (for k = 2) and reports whether the
     minimum-size squares have all frequencies equal to n / 3 (only
     decided when n is divisible by 3 and the minimum meets n^2 / 3).
-    Raises ValueError for n < 1.
+    Raises ValueError for n < 1 or a word table above ``WORD_TABLE_LIMIT``.
     """
     table = _word_table(n, k)
     nodes = 0

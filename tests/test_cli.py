@@ -312,6 +312,15 @@ def test_search_min_non_positive_order_is_a_usage_error(n, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_search_min_past_the_word_table_limit_is_a_usage_error_at_once(capsys):
+    # order 30 would need about 82 GB of compatibility masks
+    started = time.perf_counter()
+    assert main(["search", "min", "--n", "30", "--budget", "1"]) == 2
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: order 30 with k=2 has 30^4 words") and captured.out == ""
+
+
 def test_search_min_negative_budget_is_a_usage_error(capsys):
     assert main(["search", "min", "--n", "2", "--budget", "-1"]) == 2
     captured = capsys.readouterr()
@@ -380,6 +389,14 @@ def _index_out_of_range(text):
     return json.dumps(doc)
 
 
+def _queue(level, queue):
+    def corrupt(text):
+        doc = json.loads(text)
+        doc["level"], doc["queue"] = level, queue
+        return json.dumps(doc)
+    return corrupt
+
+
 def _truncate(text):
     return text[: len(text) // 2]
 
@@ -389,8 +406,16 @@ def _not_an_object(text):
 
 
 @pytest.mark.parametrize(
-    "corrupt", [_drop_n, _index_out_of_range, _truncate, _not_an_object],
-    ids=["missing-n", "index-out-of-range", "truncated", "not-an-object"],
+    "corrupt",
+    [
+        _drop_n, _index_out_of_range, _truncate, _not_an_object,
+        # the maximal 3-word square (0,0,0,0), (1,1,1,1), (2,2,2,2) claimed at level 5
+        _queue(5, [[0, 40, 80]]),
+        _queue(2, [[40, 0]]),
+        _queue(2, [[0, 1]]),  # (0,0,0,0) and (0,0,0,1) share a cell
+    ],
+    ids=["missing-n", "index-out-of-range", "truncated", "not-an-object",
+         "entry-shorter-than-its-level", "entry-unsorted", "entry-clashing"],
 )
 def test_search_min_corrupt_checkpoint_is_malformed_input(tmp_path, capsys, corrupt):
     cp = tmp_path / "cp.json"

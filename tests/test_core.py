@@ -342,6 +342,9 @@ def test_validate_reports_unsortable_cells_without_raising(cells, kinds):
 # the last word agrees in two coordinates with each of the three before it,
 # and symbol 66 lies in the second limb of a 64-bit mask
 @example(KPartialSquare(70, 2, {(0, 5): (1, 66), (1, 0): (2, 66), (2, 5): (2, 3), (3, 5): (2, 66)}))
+# at n = 2000 the fill scatters in two slices of pairs, and only the second
+# slice's pair (2, 3) holds the clash
+@example(KPartialSquare(2000, 2, {(0, 5): (1, 1999), (1, 6): (1, 1999), (7, 7): (0, 0)}))
 def test_validate_matches_the_pairwise_reference(square):
     report = square.validate()
     assert report.violations == oracle_violations(square)
@@ -379,19 +382,50 @@ def test_the_array_built_index_matches_its_definition(n, k):
     for seed in range(4):
         square = _random_valid_square(n, k, seed)
         with pytest.MonkeyPatch.context() as patch:
-            if square.cells:  # a non-empty map of plain ints takes the array path
-                patch.setattr(Projections, "add", _must_not_add)
+            patch.setattr(Projections, "add", _must_not_add)
             assert square.validate() == core.ValidationReport(ok=True, violations=())
         table = square.projections().table
         assert table == oracle_projection_table(square.words(), n, k + 2)
 
 
-@given(st.one_of(sparse_squares(), partial_squares()))
-def test_the_index_above_the_grid_limit_is_built_word_by_word(square):
+@pytest.mark.parametrize("seed", [0, 2])
+def test_the_index_of_an_order_2000_square_is_array_built(seed):
+    # one (n, 64 * limbs) bool grid per pair is 4 MB here, so the fill scatters
+    # its six coordinate pairs in more than one slice
+    square = _random_valid_square(2000, 2, seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(core, "_GRID_LIMIT", 0)
+        patch.setattr(Projections, "add", _must_not_add)
         assert square.validate().ok
-    assert square.projections().table == oracle_projection_table(square.words(), square.n, square.k + 2)
+    assert square.projections().table == oracle_projection_table(square.words(), 2000, 4)
+
+
+@pytest.mark.parametrize(
+    "k, cells",
+    [
+        (1, {}),
+        (3, {}),
+        (1, {(0, 0): (True,), (1, 1): (False,)}),
+        (1, {(0, True): (1,), (1, 0): (True,)}),
+        (2, {(np.int64(0), 0): (1, 2), (1, np.int32(1)): (np.uint8(2), 0)}),
+        # numpy reads int64 beside uint64 as float64, so these take the per-cell pass
+        (2, {(0, 0): (np.int64(1), np.uint64(2)), (1, 1): (0, 0)}),
+    ],
+    ids=["empty-k1", "empty-k3", "bool-entries", "bool-column", "numpy-ints", "numpy-ints-read-as-floats"],
+)
+def test_every_valid_map_is_indexed_by_one_fill(k, cells):
+    square = KPartialSquare(3, k, cells)
+    fill, calls = Projections.fill, []
+
+    def counted_fill(self, words):
+        calls.append(words.shape)
+        return fill(self, words)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Projections, "add", _must_not_add)
+        patch.setattr(Projections, "fill", counted_fill)
+        assert square.validate().ok
+    assert calls == [(len(cells), k + 2)]
+    assert square.projections().table == oracle_projection_table(square.words(), 3, k + 2)
 
 
 @pytest.mark.parametrize(

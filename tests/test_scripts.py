@@ -33,6 +33,12 @@ def test_find_ols_literals_refuses_orders_it_cannot_enumerate(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_survey_refuses_an_order_past_the_word_table_limit(capsys):
+    script = _load("survey_min_maximal")
+    assert script.main(["--min-n", "30", "--max-n", "30"]) == 2
+    assert capsys.readouterr().err.startswith("error: order 30 with k=2 has 30^4 words")
+
+
 def _bundled_pair() -> tuple[list[list[int]], list[list[int]]]:
     doc = json.loads((SCRIPTS.parent / "src" / "mopls" / "data" / "ols_10.json").read_text())
     left = [[0] * doc["n"] for _ in range(doc["n"])]

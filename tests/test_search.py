@@ -56,6 +56,15 @@ def test_non_positive_order_is_a_value_error(search_fn, n):
         search_fn(n)
 
 
+@pytest.mark.parametrize("search_fn", [min_maximal, verify_bound_exhaustive])
+def test_a_word_table_past_the_limit_is_a_value_error(search_fn):
+    # the orders the tests and the order-5 survey search fit; order 11 would
+    # hold 11^4 words, whose compatibility masks take 27 MB
+    assert len(search._word_table(5, 2)) == 625 and len(search._word_table(3, 3)) == 243
+    with pytest.raises(ValueError, match="a search holds at most"):
+        search_fn(11)
+
+
 def _canonical_parents(n, k, levels=None):
     """The canonical squares of at most ``levels`` words (of every size when
     None), in enumeration order, as word-index tuples."""

@@ -21,27 +21,47 @@ def test_program_checks_do_not_use_assert():
     assert found == []
 
 
+def _nodes(path):
+    """Every node of a source file, with the name of the innermost function
+    that holds it (None at module level)."""
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        yield node, function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return visit(ast.parse(path.read_text(), filename=str(path)), None)
+
+
+def _callers(name):
+    """(file, function) of every call in the package to ``name``, a plain or attribute name."""
+    return {
+        (path.name, function)
+        for path in SOURCES
+        for node, function in _nodes(path)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+
+
 def test_each_square_keeps_one_index():
     # a square keeps the Projections index it validated with; only validation
     # builds one and only a copy duplicates it, so no module rebuilds a
     # square's constraints, and only core sets a square's kept index
-    built, kept = set(), set()
-
-    def visit(node, path, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if isinstance(node, ast.Call) and "Projections" in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None)
-        ):
-            built.add((path.name, function))
-        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
-        assigned = [t for target in targets if target for t in ast.walk(target)]
-        if any(isinstance(t, ast.Attribute) and t.attr == "_index" for t in assigned):
-            kept.add(path.name)
-        for child in ast.iter_child_nodes(node):
-            visit(child, path, function)
-
+    kept = set()
     for path in SOURCES:
-        visit(ast.parse(path.read_text(), filename=str(path)), path, None)
-    assert built == {("core.py", "validate"), ("core.py", "copy")}
+        for node, _ in _nodes(path):
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            assigned = [t for target in targets if target for t in ast.walk(target)]
+            if any(isinstance(t, ast.Attribute) and t.attr == "_index" for t in assigned):
+                kept.add(path.name)
+    assert _callers("Projections") == {("core.py", "validate"), ("core.py", "copy")}
     assert kept == {"core.py"}
+
+
+def test_only_validation_fills_an_index():
+    # Projections.fill is the one builder of a kept index: validate's
+    # word-by-word pass names violations and never builds one
+    assert _callers("fill") == {("core.py", "validate")}
