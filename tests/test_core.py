@@ -388,6 +388,17 @@ def test_the_array_built_index_matches_its_definition(n, k):
         assert table == oracle_projection_table(square.words(), n, k + 2)
 
 
+def test_a_fill_that_meets_a_clash_in_its_last_slice_records_nothing():
+    words = np.array([(0, 1, 2, 3), (4, 4, 2, 3), (1, 0, 0, 0)])  # the first two share pair (2, 3) only
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_FILL_CELLS", 1)  # one coordinate pair a slice
+        index = Projections(5, 4)
+        assert not index.fill(words)
+        assert index.table == Projections(5, 4).table
+        assert index.fill(words[1:])
+    assert index.table == oracle_projection_table(words[1:].tolist(), 5, 4)
+
+
 @pytest.mark.parametrize("seed", [0, 2])
 def test_the_index_of_an_order_2000_square_is_array_built(seed):
     # one (n, 64 * limbs) bool grid per pair is 4 MB here, so the fill scatters
