@@ -33,25 +33,35 @@ When P is canonical its scan finds nothing smaller, so it visits every
 tie node (depth, labels, remaining words); these nodes, in depth-first
 order, form P's tie tree.  Every branch of C's scan either passes through
 a tie node of P, where w may be the word whose least image falls below the
-list, or commits w at some depth.  So C is canonical exactly when w passes
-the cut against P's labels, w's least image at no tie node falls below
-the list's word at that depth (at a leaf, where P maps onto itself, below
-w itself), and the scan finishes without a smaller list from each tie node
-where w's image equals that word.  The driver builds each parent's tie
-tree once, as a local, before its first child, and passes it to
-``is_canonical`` with each child; it skips the scan of a parent with no
-candidate word.  The (family, slot) pairs the scans index labels by are
-computed once per word table, with the table's order as the slot width.
-``is_canonical`` called without a tree sorts the list and decides it by
-its own scan: the list is canonical when it has a tie tree.
+list, or commits w at some depth.  So C is canonical exactly when w's
+least image at no tie node falls below the list's word at that depth (at
+a leaf, where P maps onto itself, below w itself), and the scan finishes
+without a smaller list from each tie node where w's image equals that
+word.  The first s + 1 nodes of the tree of a P of s words are the
+identity relabeling at depths 0..s, where value x of family p has the
+least image min(x, used[p]).  So the words whose image falls below the
+list there, and the words whose image ties it, are a few ANDs and ORs of
+per-family value masks, for every word of the table at once.  The leaf of
+that path is the first-appearance cut, and every word ties at its root.
+The driver builds each parent's tie tree once, as a local, before its
+first child, and tries only the words that pass the identity path,
+passing the tree to ``is_canonical`` with each; there the word's bit
+decides the path, and only the remaining tie nodes are walked by label,
+so the answer is exact for any word.  The driver skips the scan of a
+parent with no candidate word.  The value masks and the (family, slot)
+pairs the scans index labels by are computed once per word table, with
+the table's order as the slot width.  ``is_canonical`` called without a
+tree sorts the list and decides it by its own scan: the list is
+canonical when it has a tie tree.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import inf
+from operator import or_
 from pathlib import Path
 from typing import Sequence
 
@@ -78,16 +88,20 @@ def _word_table(n: int, k: int) -> list[Word]:
     return list(product(range(n), repeat=k + 2))
 
 
-def _compat_masks(words: list[Word]) -> list[int]:
-    """``masks[i]`` has bit j set when words i and j agree in at most one coordinate."""
-    width = len(words[0])
-    n = 1 + max(map(max, words))
-    having = [[0] * n for _ in range(width)]
+def _value_masks(words: "Sequence[Word]", order: int) -> list[list[int]]:
+    """``having[p][x]`` has bit i set when value x is in family p of word i."""
+    having = [[0] * order for _ in words[0]]
     for i, w in enumerate(words):
         for p, x in enumerate(w):
             having[p][x] |= 1 << i
+    return having
+
+
+def _compat_masks(words: list[Word]) -> list[int]:
+    """``masks[i]`` has bit j set when words i and j agree in at most one coordinate."""
+    having = _value_masks(words, 1 + max(map(max, words)))
     full = (1 << len(words)) - 1
-    pairs = list(combinations(range(width), 2))
+    pairs = list(combinations(range(len(words[0])), 2))
     masks = []
     for w in words:
         clash = 0  # the words agreeing with w in some pair (a, b), w included
@@ -152,65 +166,93 @@ def _smaller_exists(i: int, left: list[int], target: Sequence[Word],
     return False
 
 
-def _word_slots(words: "Sequence[Word]", order: int) -> dict:
-    """The (family, slot) pairs of each word, slot ``p * order + x`` for value
-    x of family p; ``order`` must exceed every value the scans look up."""
-    return {w: tuple((p, p * order + x) for p, x in enumerate(w)) for w in words}
+def _word_index(words: "Sequence[Word]", order: int) -> tuple:
+    """What the scans look up about a word set, built once per word table.
+
+    (order, slots, having, below, atleast): ``slots[w]`` is word w's bit,
+    its position in ``words``, and its (family, slot) pairs, slot
+    ``p * order + x`` for value x of family p; ``order`` must exceed every
+    value.  ``having`` is ``_value_masks``; ``below[p][c]`` and
+    ``atleast[p][c]``, for c in 0..order + 1, mask the words whose value in
+    family p is below c and at least c.
+    """
+    having = _value_masks(words, order)
+    full = (1 << len(words)) - 1
+    below = [list(accumulate(row + [0], or_, initial=0)) for row in having]
+    atleast = [[full & ~m for m in row] for row in below]
+    slots = {w: (i, tuple((p, p * order + x) for p, x in enumerate(w))) for i, w in enumerate(words)}
+    return order, slots, having, below, atleast
 
 
-def _tie_tree(prefix: "Sequence[Word]", order: int, slots: dict):
+def _tie_tree(prefix: "Sequence[Word]", index: tuple):
     """The exact scan of a sorted list, kept to decide its children.
 
-    ``slots`` is ``_word_slots(..., order)`` of a word set that holds the
-    list and every new word to be tried after it; the searches build it
-    once per word table, with the table's order as the slot width.  None
-    when the list fails the first-appearance cut or is not canonical.
-    Otherwise (nodes, pairs, nxt, slots): the tie tree, every node the scan
-    visits in depth-first order as (depth, label table, nxt, remaining
-    words); the (family, slot) pairs of each word; each family's next
-    unused label; and ``slots``.  The empty list's tree is empty: a
-    one-word list is decided by the cut alone.
+    ``index`` is ``_word_index`` of a word set that holds the list and
+    every new word to be tried after it; the searches build it once per
+    word table.  None when the list fails the first-appearance cut or is
+    not canonical.  Otherwise (passing, path, rest, pairs, slots).  The
+    scan's nodes at depths 0..s, s = len(prefix), are the identity
+    relabeling, where a value x of family p has the least image
+    ``min(x, used[p])``; so ``passing`` masks the words whose image falls
+    below the list at none of them (at the leaf, below the word itself:
+    the first-appearance cut), and ``path`` pairs the nodes at depths
+    0..s-1 with the masks of the words whose image ties the list there
+    (every word, at the root).  ``rest`` holds every later node, each
+    (depth, label table, used labels, remaining words); ``pairs`` the
+    (family, slot) pairs of the list's words; ``slots`` is the index's.
     """
-    if not prefix:
-        return (), (), (), slots
-    width = len(prefix[0])
-    nxt = [0] * width  # the first-appearance cut
-    for w in prefix:
-        for p, x in enumerate(w):
-            if x > nxt[p]:
-                return None
-            if x == nxt[p]:
-                nxt[p] += 1
-    pairs = tuple(slots[w] for w in prefix)
+    order, slots, having, below, atleast = index
+    used = [0] * len(having)
+    fails = 0  # the words whose image falls below the list on the identity path
+    ties = []
+    for goal in prefix:
+        tie = -1  # the words whose image ties goal so far, all at first
+        for p, g in enumerate(goal):
+            if g > used[p]:
+                return None  # the first-appearance cut
+            fails |= tie & below[p][g]
+            if g < used[p]:
+                tie &= having[p][g]
+            else:
+                tie &= atleast[p][g]  # every value from g up maps to g
+                used[p] += 1
+        ties.append(tie)
+    for p, u in enumerate(used):
+        fails |= atleast[p][u + 1]  # the leaf: the first-appearance cut
+    pairs = tuple(slots[w][1] for w in prefix)
     nodes: list = []
-    if _smaller_exists(0, list(range(len(prefix))), prefix, pairs, [-1] * (width * order), [0] * width, nodes):
+    if _smaller_exists(0, list(range(len(prefix))), prefix, pairs, [-1] * (len(used) * order), [0] * len(used), nodes):
         return None
-    return tuple(nodes), pairs, tuple(nxt), slots
+    passing = ((1 << len(slots)) - 1) & ~fails
+    return passing, tuple(zip(ties, nodes)), nodes[len(prefix) + 1:], pairs, slots
 
 
 def is_canonical(words: "Sequence[Word]", tree: tuple | None = None) -> bool:
     """True when no relabeling yields a strictly smaller sorted word list.
 
     ``tree``, when given, is ``_tie_tree`` of ``words[:-1]`` for a sorted
-    list ``words`` whose last word is above the others; the searches pass
-    each parent's tree to decide its children from their one new word.
-    Without it the list is sorted and decided by its own tie tree.
+    list ``words`` whose last word w is above the others and in the tree's
+    word set; the searches pass each parent's tree to decide its children
+    from their one new word.  w's bits in the tree's masks decide the
+    identity path, branching where w ties, and only the other tie nodes
+    are walked by label, so the answer is exact for every such w, also one
+    the driver drops by the masks.  Without a tree the list is sorted and
+    decided by its own tie tree.
     """
     if tree is None:
         words = sorted(map(tuple, words))
-        order = 1 + max(map(max, words), default=0)
-        return _tie_tree(words, order, _word_slots(words, order)) is not None
-    if len(words) < 2:
-        return not any(words[0])
-    nodes, pairs, nxt, slots = tree
+        if not words:
+            return True
+        order = 1 + max(map(max, words))
+        return _tie_tree(words, _word_index(words, order)) is not None
+    passing, path, rest, pairs, slots = tree
     w = words[-1]  # the one new word
-    for x, c in zip(w, nxt):
-        if x > c:
-            return False  # the first-appearance cut
-    wp = slots[w]
+    bit, wp = slots[w]
+    if not passing >> bit & 1:
+        return False  # w maps below a word on the identity path, or fails the cut
+    branches = [node for tie, node in path if tie >> bit & 1]
     size = len(pairs)
-    branches = []
-    for i, lab, used, left in nodes:
+    for i, lab, used, left in rest:
         goal = words[i]
         for p, s in wp:
             v = lab[s]
@@ -224,17 +266,16 @@ def is_canonical(words: "Sequence[Word]", tree: tuple | None = None) -> bool:
             if i < size:
                 branches.append((i, lab, used, left))
     # at each tie, w takes position i and the scan finishes from there
-    if branches:
-        pairs += (wp,)
-        for i, lab, used, left in branches:
-            lab = list(lab)
-            used = list(used)
-            for p, s in wp:
-                if lab[s] < 0:
-                    lab[s] = used[p]
-                    used[p] += 1
-            if _smaller_exists(i + 1, left, words, pairs, lab, used):
-                return False
+    pairs += (wp,)
+    for i, lab, used, left in branches:
+        lab = list(lab)
+        used = list(used)
+        for p, s in wp:
+            if lab[s] < 0:
+                lab[s] = used[p]
+                used[p] += 1
+        if _smaller_exists(i + 1, left, words, pairs, lab, used):
+            return False
     return True
 
 
@@ -279,8 +320,7 @@ def _levels(table: list[Word], compat: list[int], level: int = 0,
     """
     if queue is None:
         queue = [((), (1 << len(table)) - 1)]
-    order = 1 + table[-1][0]  # the last word is (n-1, ..., n-1)
-    slots = _word_slots(table, order)
+    index = _word_index(table, 1 + table[-1][0])  # the last word is (n-1, ..., n-1)
     spent = 0
     while True:
         yield level, queue
@@ -292,10 +332,10 @@ def _levels(table: list[Word], compat: list[int], level: int = 0,
             if not mask >> (floor + 1):
                 continue  # no candidate, so no scan
             words = [table[i] for i in words_idx]
-            tree = _tie_tree(words, order, slots)
+            tree = _tie_tree(words, index)
             if tree is None:
                 continue  # a non-canonical parent, only ever read from a checkpoint
-            for w in bits_above(mask, floor):
+            for w in bits_above(mask & tree[0], floor):  # the words passing its identity path
                 if is_canonical(words + [table[w]], tree):
                     if budget is not None and spent >= budget:
                         raise _Budget
@@ -323,6 +363,9 @@ def _is_index(value: object, limit: float = inf) -> bool:
 
 
 def _load_checkpoint(path: Path, n: int, k: int, compat: list[int]):
+    """(level, queue, nodes) read from ``path``.  Each queue entry is checked
+    (ascending word indices, no clash), but not that the queue is whole, so
+    an edited checkpoint can claim a bound the search never checked."""
     doc = read_json(path, "checkpoint")
     if not isinstance(doc, dict):
         raise ParseError(f"checkpoint {path} is not a JSON object")
@@ -369,8 +412,10 @@ def min_maximal(
     level containing a maximal square, which is then the exact minimum.
     ``budget`` caps accepted canonical squares for this run; when it is
     exhausted the result reports the proven bound so far.  ``checkpoint``
-    names a JSON file written at each completed level; with ``resume``
-    the run restarts from the last completed level in that file.
+    names a JSON file written once at each completed level, and at the
+    level it started from when the budget stops the run before it completes
+    one; with ``resume`` the run restarts from the last completed level in
+    that file.
     Raises ValueError for n < 1 or a word table above ``WORD_TABLE_LIMIT``.
     """
     table = _word_table(n, k)
@@ -399,7 +444,7 @@ def min_maximal(
                 break
     except _Budget:
         exhausted_budget = True
-        if cp_path is not None:
+        if cp_path is not None and level_num == start:  # else its last level wrote it
             _save_checkpoint(cp_path, n, k, level_num, queue, nodes)
 
     if min_size is not None:

@@ -1,5 +1,6 @@
 """Tests for canonical forms and the exhaustive minimum-size search."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -105,6 +106,52 @@ def test_children_match_the_oracle_across_cache_hits_and_misses(n, k, levels):
             for child in children[:2]:
                 assert is_canonical([table[i] for i in child]) == expected[child], child
             del children[:2]
+
+
+# the canonical parents whose tie trees are checked word by word
+TREE_LEVELS = [(2, 1, None), (3, 1, None), (2, 2, None), (3, 2, None), (4, 1, 4)]
+
+
+@pytest.mark.parametrize("n, k, levels", TREE_LEVELS)
+def test_a_parent_tree_decides_every_word_above_its_last(n, k, levels):
+    """The tree's masks and its walk by label together are exact for every
+    table word above the parent's last: the words the identity masks reject,
+    the words they pass, and words that clash with the parent."""
+    table, parents = _canonical_parents(n, k, levels)
+    index = search._word_index(table, n)
+    seen = set()  # (passes the masks, canonical)
+    for ix in parents:
+        parent = [table[i] for i in ix]
+        tree = search._tie_tree(parent, index)
+        above = range(ix[-1] + 1 if ix else 0, len(table))
+        verdicts = oracle_canonical_children(parent, [table[w] for w in above], n, k)
+        for w, verdict in zip(above, verdicts):
+            assert is_canonical(parent + [table[w]], tree) == verdict, ix + (w,)
+            seen.add((bool(tree[0] >> w & 1), verdict))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("n, k, levels", TREE_LEVELS)
+def test_the_scan_walks_the_identity_relabeling_first(n, k, levels):
+    """The tie masks stand for the scan's first s + 1 nodes: node i is at
+    depth i, with words i.. left and each value of the first i words labelled
+    by itself."""
+    table, parents = _canonical_parents(n, k, levels)
+    index = search._word_index(table, n)
+    width = k + 2
+    for ix in parents:
+        words = [table[i] for i in ix]
+        s = len(words)
+        pairs = tuple(index[1][w][1] for w in words)
+        nodes = []
+        assert not search._smaller_exists(0, list(range(s)), words, pairs, [-1] * (width * n), [0] * width, nodes)
+        _, path, rest, _, _ = search._tie_tree(words, index)
+        assert [node for _, node in path] == nodes[:s] and rest == nodes[s + 1:]
+        for i, (depth, lab, used, left) in enumerate(nodes[:s + 1]):
+            values = [{w[p] for w in words[:i]} for p in range(width)]
+            assert (depth, list(left)) == (i, list(range(i, s)))
+            assert used == [len(v) for v in values]
+            assert lab == [x if x in values[p] else -1 for p in range(width) for x in range(n)]
 
 
 def _oracle_children(table, compat, queue, n, k):
@@ -266,6 +313,54 @@ def test_checkpoint_resume_completes_an_interrupted_run(tmp_path):
     assert resumed.nodes == fresh.nodes
     assert resumed.levels_completed == fresh.levels_completed
     assert is_maximal(resumed.witness)
+
+
+def _count_checkpoint_saves(monkeypatch):
+    saves = []
+    save = search._save_checkpoint
+
+    def counted(*args):
+        saves.append(args[3])  # the level
+        save(*args)
+
+    monkeypatch.setattr(search, "_save_checkpoint", counted)
+    return saves
+
+
+def test_a_budget_stop_writes_each_completed_level_once(tmp_path, monkeypatch):
+    saves = _count_checkpoint_saves(monkeypatch)
+    cp = tmp_path / "level.json"
+    result = min_maximal(3, budget=4, checkpoint=cp)
+    assert result.exhausted_budget and result.levels_completed == 1
+    assert saves == [1]
+    assert cp.read_bytes() == b'{"version": 1, "n": 3, "k": 2, "level": 1, "nodes": 1, "queue": [[0]]}\n'
+
+
+def test_a_zero_budget_still_leaves_a_checkpoint_to_resume(tmp_path, monkeypatch):
+    saves = _count_checkpoint_saves(monkeypatch)
+    cp = tmp_path / "level.json"
+    min_maximal(3, budget=0, checkpoint=cp)
+    assert saves == [0]
+    assert json.loads(cp.read_text())["queue"] == [[]]
+    resumed, fresh = min_maximal(3, checkpoint=cp, resume=True), min_maximal(3)
+    assert (resumed.min_size, resumed.nodes, resumed.levels_completed) == (3, fresh.nodes, fresh.levels_completed)
+    assert resumed.witness.words() == fresh.witness.words()
+
+
+def test_a_stopped_and_resumed_order_four_search_writes_the_same_bytes(tmp_path, monkeypatch, capsys):
+    """The stdout, result and checkpoint of the benchmark's order-4 search and
+    of its resume, as SHA-256 digests of the bytes the search wrote before
+    its identity path was decided by masks."""
+    monkeypatch.chdir(tmp_path)
+    runs = [
+        (["--budget", "1219"], ("d046d414f639b000", "78545d2851957eac", "7fca3c46db0f7e36")),
+        (["--resume", "--budget", "6330"], ("e8caad8c7e3059a2", "7b86c88cdbffaf32", "65b306cd47a64cad")),
+    ]
+    for extra, digests in runs:
+        argv = ["search", "min", "--n", "4", *extra, "--checkpoint", "cp.json", "--out", "result.json"]
+        assert main(argv) == 0
+        out = [capsys.readouterr().out.encode(), Path("result.json").read_bytes(), Path("cp.json").read_bytes()]
+        assert tuple(hashlib.sha256(data).hexdigest()[:16] for data in out) == digests, extra
 
 
 def _fail(*args, **kwargs):
