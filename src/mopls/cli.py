@@ -4,6 +4,8 @@ Subcommands mirror the library: ``construct`` builds squares, ``verify``
 checks properties of squares read from files, ``search min`` runs the
 exhaustive ascending-size scan, ``code`` analyzes or exports the word
 code of a square, and ``export graph`` writes the complement graph.
+Only ``verify maximal`` takes several files; with ``--json`` it prints
+one object per file, in argument order.
 
 Every invocation that writes an output file also writes a
 ``<out>.manifest.json`` next to it recording the command line, parsed
@@ -15,8 +17,9 @@ file whole.
 Exit codes: 0 success; 1 a verification failed (or a built square or a
 printed certificate failed its own check); 2 usage error (including
 ``--n`` or ``--k`` below 1 or above :data:`mopls.formats.MAX_ORDER` or
-:data:`mopls.formats.MAX_LAYERS` on ``construct`` and ``search``, and a
-``--budget`` below 0, and an empty or missing ``--out`` on ``code
+:data:`mopls.formats.MAX_LAYERS` on ``construct`` and ``search``, a
+``--budget`` below 0, a second square file on any ``verify`` but
+``verify maximal``, and an empty or missing ``--out`` on ``code
 export`` and ``export graph``; an empty ``--out`` elsewhere means stdout),
 or an output file that cannot be written
 (including a text grid above :data:`mopls.formats.MAX_TEXT_ORDER`); 3
@@ -173,16 +176,19 @@ def cmd_construct(ctx: RunContext, args: argparse.Namespace) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
-def _verify_one_maximal(path: str) -> tuple[int, str]:
-    """The exit code and the report line of one file."""
+def _verify_one_maximal(path: str) -> tuple[dict[str, Any], str]:
+    """The JSON report object and the report line of one file."""
+    report = {"path": path, "exit_code": EXIT_OK, "witness": None, "error": None}
     try:
         square = load_square(path)
     except ParseError as exc:
-        return EXIT_MALFORMED, f"{path}: malformed: {exc}"
+        report.update(exit_code=EXIT_MALFORMED, error=str(exc))
+        return report, f"{path}: malformed: {exc}"
     witness = find_extension(square)
     if witness is None:
-        return EXIT_OK, f"{path}: maximal (n={square.n}, k={square.k}, filled={square.filled_count})"
-    return EXIT_VERIFY_FAILED, f"{path}: extendable at {witness.cell} with {witness.entries}"
+        return report, f"{path}: maximal (n={square.n}, k={square.k}, filled={square.filled_count})"
+    report.update(exit_code=EXIT_VERIFY_FAILED, witness=witness)
+    return report, f"{path}: extendable at {witness.cell} with {witness.entries}"
 
 
 def cmd_verify(ctx: RunContext, args: argparse.Namespace) -> int:
@@ -196,11 +202,12 @@ def cmd_verify(ctx: RunContext, args: argparse.Namespace) -> int:
                 results = list(pool.map(_verify_one_maximal, paths))
         else:
             results = [_verify_one_maximal(p) for p in paths]
-        for _, line in results:
-            print(line)
+        _emit(args, [report for report, _ in results], [line for _, line in results])
         ctx.inputs.extend(Path(p) for p in paths)
-        return max(code for code, _ in results)
+        return max(report["exit_code"] for report, _ in results)
 
+    if len(args.files) > 1:
+        raise ValueError(f"verify {what} takes one square file, got {len(args.files)}")
     square = ctx.read_square(args.files[0])
     if what == "bound":
         report = verify_bound(square)
@@ -347,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="check properties of square files")
     p_ver.add_argument("what", choices=["maximal", "bound", "structure", "hr", "lemma2"])
-    p_ver.add_argument("files", nargs="+", help="square file(s)")
+    p_ver.add_argument("files", nargs="+", help="square file(s): several for maximal, one otherwise")
     p_ver.add_argument("--rows", help="comma-separated region rows (lemma2)")
     p_ver.add_argument("--cols", help="comma-separated region cols (lemma2)")
     p_ver.add_argument("--threads", type=int, help="parallel workers for maximal batches, at most one per file")

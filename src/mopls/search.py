@@ -416,8 +416,11 @@ def min_maximal(
     level it started from when the budget stops the run before it completes
     one; with ``resume`` the run restarts from the last completed level in
     that file.
-    Raises ValueError for n < 1 or a word table above ``WORD_TABLE_LIMIT``.
+    Raises ValueError for n < 1, a budget below 0 or a word table above
+    ``WORD_TABLE_LIMIT``.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     table = _word_table(n, k)
     compat = _compat_masks(table)
 

@@ -45,20 +45,19 @@ def inequality_rhs(n: int, m: int, t: int) -> int:
 # -- bipartite matching on empty cells -----------------------------------------
 
 
-def _max_matching(adj: list[list[int]], n_right: int) -> tuple[list[int], list[int]]:
-    """Augmenting-path matching; returns (match_left, match_right), -1 if free.
+def _alternate(
+    masks: list[int], match_right: list[int], roots: "list[int] | tuple[int, ...]"
+) -> tuple[list[tuple[int, int]] | None, int]:
+    """Depth-first alternating search from ``roots``, which share one visited mask.
 
-    Each left vertex in turn starts a depth-first search for an augmenting
-    path that tries its neighbours in ascending order (``adj`` rows are
-    ascending).  The search keeps its path on an explicit stack, so a path
-    may be as long as the region is wide, and it takes a vertex's next
-    unvisited neighbour as the lowest set bit of an int mask.
+    Returns the (left, right) edges of the first augmenting path found, or
+    None, and the mask of right vertices visited.  A left vertex tries its
+    unvisited neighbours in ascending order, each the lowest set bit of its
+    int mask, and the path is kept on an explicit stack, so it may be as
+    long as the region is wide.
     """
-    match_left = [-1] * len(adj)
-    match_right = [-1] * n_right
-    masks = [sum(1 << v for v in row) for row in adj]
-    for root in range(len(adj)):
-        visited = 0
+    visited = 0
+    for root in roots:
         path, via = [root], []  # via[i]: the right vertex path[i] tries for path[i + 1]
         while path:
             options = masks[path[-1]] & ~visited
@@ -72,41 +71,31 @@ def _max_matching(adj: list[list[int]], n_right: int) -> tuple[list[int], list[i
             v = low.bit_length() - 1
             via.append(v)
             if match_right[v] == -1:
-                for u, w in zip(path, via):
-                    match_left[u] = w
-                    match_right[w] = u
-                break
+                return list(zip(path, via)), visited
             path.append(match_right[v])
-    return match_left, match_right
+    return None, visited
 
 
-def _min_cover(
-    adj: list[list[int]], match_left: list[int], match_right: list[int]
-) -> tuple[list[int], list[int]]:
-    """Minimum vertex cover from a maximum matching.
+def _max_matching(masks: list[int], n_right: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(match_left, match_right, cover_left, cover_right); -1 marks a free vertex.
 
-    Alternating reachability from unmatched left vertices; the cover is
-    the unreached left side plus the reached right side, and its size
-    equals the matching size, certifying both as optimal.
+    Bit v of ``masks[u]`` is the edge (u, v).  Each left vertex in turn
+    searches for an augmenting path.  One more search from every free left
+    vertex then visits the alternating-reachable set Z, and the cover is
+    the left vertices outside Z plus the right vertices in Z.  Under a
+    maximum matching that cover is as large as the matching and touches
+    every edge (König); otherwise it is larger.
     """
-    visited_left = [False] * len(adj)
-    visited_right = [False] * len(match_right)
-    stack = [u for u in range(len(adj)) if match_left[u] == -1]
-    for u in stack:
-        visited_left[u] = True
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if visited_right[v]:
-                continue
-            visited_right[v] = True
-            w = match_right[v]
-            if w != -1 and not visited_left[w]:
-                visited_left[w] = True
-                stack.append(w)
-    cover_left = [u for u in range(len(adj)) if not visited_left[u]]
-    cover_right = [v for v in range(len(match_right)) if visited_right[v]]
-    return cover_left, cover_right
+    match_left = [-1] * len(masks)
+    match_right = [-1] * n_right
+    for root in range(len(masks)):
+        for u, v in _alternate(masks, match_right, (root,))[0] or ():
+            match_left[u] = v
+            match_right[v] = u
+    _, reached = _alternate(masks, match_right, [u for u, v in enumerate(match_left) if v == -1])
+    cover_left = [u for u, v in enumerate(match_left) if v != -1 and not reached >> v & 1]
+    cover_right = [v for v in range(n_right) if reached >> v & 1]
+    return match_left, match_right, cover_left, cover_right
 
 
 @dataclass(frozen=True)
@@ -140,16 +129,9 @@ def max_empty_transversal(
             raise ValueError(f"index {idx} outside 0..{square.n - 1}")
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         raise ValueError("region rows and cols must be distinct")
-    d = len(rows)
-    adj = [
-        [cj for cj, c in enumerate(cols) if not square.is_filled((r, c))]
-        for r in rows
-    ]
-    match_left, match_right = _max_matching(adj, d)
-    cover_left, cover_right = _min_cover(adj, match_left, match_right)
-    matching = tuple(
-        (rows[u], cols[v]) for u, v in enumerate(match_left) if v != -1
-    )
+    masks = [sum(1 << j for j, c in enumerate(cols) if not square.is_filled((r, c))) for r in rows]
+    match_left, _, cover_left, cover_right = _max_matching(masks, len(cols))
+    matching = tuple((rows[u], cols[v]) for u, v in enumerate(match_left) if v != -1)
     # a cover as large as the matching that every empty cell touches
     # proves no larger transversal exists (König)
     if len(cover_left) + len(cover_right) != len(matching):
@@ -157,14 +139,11 @@ def max_empty_transversal(
             f"vertex cover of {len(cover_left) + len(cover_right)} lines does not match "
             f"the transversal of {len(matching)} cells"
         )
-    covered_left, covered_right = set(cover_left), set(cover_right)
-    for u in range(d):
-        if u not in covered_left:
-            for v in adj[u]:
-                if v not in covered_right:
-                    raise SelfCheckError(
-                        f"empty cell {(rows[u], cols[v])} touches no line of the vertex cover"
-                    )
+    covered_left, uncovered = set(cover_left), ~sum(1 << v for v in cover_right)
+    for u, missed in enumerate(mask & uncovered for mask in masks):
+        if missed and u not in covered_left:
+            v = (missed & -missed).bit_length() - 1
+            raise SelfCheckError(f"empty cell {(rows[u], cols[v])} touches no line of the vertex cover")
     return TransversalReport(
         rows=rows,
         cols=cols,

@@ -210,6 +210,30 @@ def test_verify_maximal_batch_reports_every_file(square_file, tmp_path, capsys):
     assert main(["verify", "bound", str(undecodable)]) == 3
 
 
+def test_verify_maximal_json_lists_one_object_per_file(square_file, tmp_path, capsys):
+    partial = tmp_path / "partial.json"
+    partial.write_text(to_json(min_mopls(9).remove((0, 0))))
+    missing = tmp_path / "nosuch.json"
+    files = [str(square_file), str(partial), str(missing)]
+    assert main(["verify", "maximal", *files, "--json"]) == 3
+    assert json.loads(capsys.readouterr().out) == [
+        {"path": files[0], "exit_code": 0, "witness": None, "error": None},
+        {"path": files[1], "exit_code": 1, "witness": {"cell": [0, 0], "entries": [0, 0]}, "error": None},
+        {"path": files[2], "exit_code": 3, "witness": None,
+         "error": f"cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"},
+    ]
+
+
+@pytest.mark.parametrize("what", ["bound", "structure", "hr", "lemma2"])
+def test_verify_of_one_square_refuses_a_second_file(what, square_file, tmp_path, capsys):
+    # the second file is never read: it does not exist
+    extra = ["--rows", "0,1", "--cols", "0,1"] if what == "lemma2" else []
+    assert main(["verify", what, str(square_file), str(tmp_path / "nosuch.json"), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: verify {what} takes one square file, got 2\n"
+    assert captured.out == ""
+
+
 def test_verify_bound_passes_on_minimum_square(square_file, capsys):
     assert main(["verify", "bound", str(square_file)]) == 0
     assert "ok=True" in capsys.readouterr().out
@@ -604,7 +628,8 @@ def test_construction_that_fails_its_own_check_exits_1(monkeypatch, capsys):
 
 
 def test_verify_whose_own_check_fails_exits_1(square_file, monkeypatch, capsys):
-    monkeypatch.setattr(verify, "_min_cover", lambda *args: ([], []))
+    real = verify._max_matching
+    monkeypatch.setattr(verify, "_max_matching", lambda *args: (*real(*args)[:2], [], []))
     assert main(["verify", "bound", str(square_file)]) == 1
     assert capsys.readouterr().err == "error: vertex cover of 0 lines does not match the transversal of 6 cells\n"
 

@@ -39,6 +39,14 @@ def test_survey_refuses_an_order_past_the_word_table_limit(capsys):
     assert capsys.readouterr().err.startswith("error: order 30 with k=2 has 30^4 words")
 
 
+def test_survey_refuses_a_negative_budget(capsys):
+    script = _load("survey_min_maximal")
+    assert script.main(["--min-n", "4", "--max-n", "4", "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: budget must be at least 0, got -1\n"
+    assert "budget hit" not in captured.out
+
+
 def _bundled_pair() -> tuple[list[list[int]], list[list[int]]]:
     doc = json.loads((SCRIPTS.parent / "src" / "mopls" / "data" / "ols_10.json").read_text())
     left = [[0] * doc["n"] for _ in range(doc["n"])]

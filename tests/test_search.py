@@ -292,6 +292,14 @@ def test_zero_budget_proves_nothing():
     assert result.no_maximal_below == 1
 
 
+def test_negative_budget_is_refused_before_the_word_table_is_built():
+    # order 30's word table is past the limit, so the budget is checked first
+    with pytest.raises(ValueError, match="budget must be at least 0, got -5"):
+        min_maximal(30, 2, budget=-5)
+    with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
+        min_maximal(3, 2, budget=-1)
+
+
 def test_generous_budget_matches_unbudgeted_run():
     capped = min_maximal(3, budget=10**6)
     free = min_maximal(3)

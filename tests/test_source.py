@@ -65,3 +65,10 @@ def test_only_validation_fills_an_index():
     # Projections.fill is the one builder of a kept index: validate's
     # word-by-word pass names violations and never builds one
     assert _callers("fill") == {("core.py", "validate")}
+
+
+def test_ci_runs_the_tier_1_command():
+    # the workflow's test step is ROADMAP's Tier-1 line, word for word
+    tier1 = (ROOT / "ROADMAP.md").read_text().split("**Tier-1 verify:** `", 1)[1].split("`", 1)[0]
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert f"run: {tier1}\n" in workflow

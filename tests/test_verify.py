@@ -126,7 +126,12 @@ def test_transversal_of_empty_square_fills_the_diagonal():
 @given(st.integers(1, 12), st.data())
 def test_matcher_matches_the_recursive_reference(width, data):
     adj = [sorted(row) for row in data.draw(st.lists(st.sets(st.integers(0, width - 1)), max_size=12))]
-    assert verify._max_matching(adj, width) == oracle_max_matching(adj, width)
+    masks = [sum(1 << v for v in row) for row in adj]
+    match_left, match_right, cover_left, cover_right = verify._max_matching(masks, width)
+    assert (match_left, match_right) == oracle_max_matching(adj, width)
+    # a cover as large as the matching that touches every edge
+    assert len(cover_left) + len(cover_right) == sum(v != -1 for v in match_left)
+    assert all(u in cover_left or v in cover_right for u, row in enumerate(adj) for v in row)
 
 
 def test_transversal_of_a_wide_empty_region_needs_no_recursion():
@@ -138,16 +143,35 @@ def test_transversal_of_a_wide_empty_region_needs_no_recursion():
     assert len(report.cover_rows) + len(report.cover_cols) == n
 
 
+def _with_cover(monkeypatch, cover_left, cover_right):
+    """Make ``_max_matching`` return its real matching with the given cover."""
+    real = verify._max_matching
+    monkeypatch.setattr(verify, "_max_matching", lambda *args: (*real(*args)[:2], cover_left, cover_right))
+
+
 def test_transversal_checks_its_cover_size(monkeypatch):
-    monkeypatch.setattr(verify, "_min_cover", lambda *args: ([], []))
+    _with_cover(monkeypatch, [], [])
     with pytest.raises(SelfCheckError, match="vertex cover of 0 lines"):
         max_empty_transversal(KPartialSquare.empty(2, 2), range(2), range(2))
 
 
 def test_transversal_checks_that_its_cover_touches_every_empty_cell(monkeypatch):
     # row 0 and column 0 are as many lines as the matching, but miss cell (1, 1)
-    monkeypatch.setattr(verify, "_min_cover", lambda *args: ([0], [0]))
+    _with_cover(monkeypatch, [0], [0])
     with pytest.raises(SelfCheckError, match=r"empty cell \(1, 1\) touches no line"):
+        max_empty_transversal(KPartialSquare.empty(2, 2), range(2), range(2))
+
+
+def test_transversal_checks_that_no_augmentation_was_skipped(monkeypatch):
+    # row 1's own search finds nothing, so the matching is not maximum and
+    # the search from the free rows finds a path: the cover comes out larger
+    real = verify._alternate
+
+    def skip_row_1(masks, match_right, roots):
+        return (None, 0) if roots == (1,) else real(masks, match_right, roots)
+
+    monkeypatch.setattr(verify, "_alternate", skip_row_1)
+    with pytest.raises(SelfCheckError, match="vertex cover of 2 lines does not match the transversal of 1 cells"):
         max_empty_transversal(KPartialSquare.empty(2, 2), range(2), range(2))
 
 
