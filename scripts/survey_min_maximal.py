@@ -81,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     for n in range(args.min_n, args.max_n + 1):
         try:
             row = survey_order(n, args.k, args.budget, args.checkpoint_dir)
-        except ValueError as exc:  # an order below 1 or above the search's word table limit
+        except ValueError as exc:  # n or k below 1, or past the search's word table limit
             print(f"error: {exc}", file=sys.stderr)
             return 2
         rows.append(row)

@@ -16,9 +16,9 @@ radius 1 forces the unique 9-word perfect configuration at n = 3.)
 :func:`min_distance` uses the same strength-2 view as
 :class:`mopls.core.Projections`: two distinct words agree in two or more
 coordinates only when they share the value pair of some coordinate
-pair.  One sort per coordinate pair finds the repeated pairs; a valid
-square has none, so its distance costs O(F * C(L, 2)) for F words of
-length L, and only words that share a pair are ever compared.
+pair.  A coordinate pair whose value pairs are all distinct is skipped;
+a valid square has no other, so its distance costs one set per
+coordinate pair, and only words that share a value pair are compared.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ from .maximality import is_maximal
 
 #: Exhaustive covering-radius scans are limited to this many words.
 WORD_SPACE_LIMIT = 10**7
-
-#: About the most keys ``min_distance`` sorts, and letters it compares, at
-#: once: 8 MB of int64 each.
-_DISTANCE_BLOCK = 1 << 20
-
 
 @dataclass(frozen=True)
 class Code:
@@ -64,68 +59,32 @@ def to_code(square: KPartialSquare) -> Code:
     )
 
 
-def _agreement(ranks: np.ndarray, first: np.ndarray, second: np.ndarray) -> int:
-    """The most coordinates in which word ``first[i]`` agrees with word
-    ``second[i]`` (distinct words), each unordered pair compared once, in
-    blocks of at most ``_DISTANCE_BLOCK`` letters."""
-    size, length = ranks.shape
-    pairs = np.unique(np.minimum(first, second) * size + np.maximum(first, second))
-    step = max(1, _DISTANCE_BLOCK // length)
-    return max(
-        int((ranks[block // size] == ranks[block % size]).sum(axis=1).max())
-        for block in (pairs[start:start + step] for start in range(0, len(pairs), step))
-    )
-
-
 def min_distance(code: Code) -> int:
     """Least Hamming distance between distinct codewords; needs two of them.
 
-    Two distinct words agree in two or more coordinates only if they share
-    the value pair of some coordinate pair, so each pair's projection is
-    sorted once, as a key of the two coordinates' value ranks (no alphabet
-    can overflow it).  When no projection repeats, no two words agree in
-    two coordinates: the distance is ``length - 1`` when some single
-    coordinate repeats and ``length`` otherwise.  Else only the words inside
-    a run of one repeated value pair are compared, each with the one
-    ``shift`` places on in its run, for shift = 1, 2, ... while some run is
-    longer than the shift.  Coordinate pairs are sorted in blocks of about
-    ``_DISTANCE_BLOCK`` keys.
+    Words that share no coordinate value are ``length`` apart.  Otherwise, for
+    each coordinate pair whose value pairs repeat, each word is compared with
+    the earlier words of its value pair, until two agree in ``length - 1`` places.
     """
-    if len(code.words) < 2:
-        raise ValueError(f"minimum distance needs at least 2 codewords, have {len(code.words)}")
-    values = np.array(code.words)
-    size, length = values.shape
-    # ranks[w, p]: the rank of word w's letter p among the distinct letters at
-    # p; stable like the key sort below, so one sort routine is paged in
-    order = np.argsort(values, axis=0, kind="stable")
-    rising = np.diff(np.take_along_axis(values, order, axis=0), axis=0) != 0
-    ranks = np.zeros((size, length), dtype=np.int64)
-    np.put_along_axis(ranks, order[1:], np.cumsum(rising, axis=0), axis=0)
-    most = 0 if rising.all() else 1  # the most coordinates two distinct words agree in
-    pairs = np.array(list(combinations(range(length), 2)), dtype=np.intp).reshape(-1, 2)
-    step = max(1, _DISTANCE_BLOCK // size)
-    for start in range(0, len(pairs), step):
-        a, b = pairs[start:start + step].T
-        keys = ranks[:, a] * size + ranks[:, b]
-        order = np.argsort(keys, axis=0, kind="stable")
-        # the runs of equal keys, one column after another, each in word order
-        cut = np.ones(keys.shape, dtype=bool)
-        cut[1:] = np.diff(np.take_along_axis(keys, order, axis=0), axis=0) != 0
-        if cut.all():
+    words = code.words
+    if len(words) < 2:
+        raise ValueError(f"minimum distance needs at least 2 codewords, have {len(words)}")
+    length = code.length
+    columns = list(zip(*words))
+    if all(len(set(column)) == len(words) for column in columns):
+        return length
+    most = 1  # the most coordinates two distinct words agree in
+    for a, b in combinations(range(length), 2):
+        if len(set(zip(columns[a], columns[b]))) == len(words):
             continue
-        lengths = np.diff(np.append(np.flatnonzero(cut.T), cut.size))
-        run = np.repeat(np.arange(len(lengths)), lengths)
-        run_length = np.repeat(lengths, lengths)
-        word = order.T.ravel()
-        shift = 1
-        while most < length - 1:
-            longer = run_length > shift
-            if not longer.any():
-                break
-            word, run, run_length = word[longer], run[longer], run_length[longer]
-            inside = run[shift:] == run[:-shift]
-            most = max(most, _agreement(ranks, word[:-shift][inside], word[shift:][inside]))
-            shift += 1
+        buckets: dict[tuple[int, int], list[Word]] = {}
+        for w in words:
+            bucket = buckets.setdefault((w[a], w[b]), [])
+            for v in bucket:
+                most = max(most, sum(x == y for x, y in zip(v, w)))
+            if most == length - 1:
+                return 1
+            bucket.append(w)
     return length - most
 
 

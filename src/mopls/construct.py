@@ -23,7 +23,7 @@ from functools import lru_cache
 from importlib import resources
 from math import ceil
 
-from .core import Cell, EntryTuple, KPartialSquare, SelfCheckError, lower_bound
+from .core import Cell, EntryTuple, KPartialSquare, SelfCheckError, _indices, lower_bound
 from .formats import ParseError, from_json
 from .maximality import is_maximal
 
@@ -267,7 +267,10 @@ def k_mopls_diagonal(n: int, k: int, block_orders: tuple[int, ...] | list[int]) 
     when the block count is at most k + 1 and is the caller's claim to
     check.  Raises ConstructionError if some block order is unreachable.
     """
-    block_orders = tuple(int(m) for m in block_orders)
+    orders = _indices(block_orders)
+    if orders is None:
+        raise ConstructionError(f"block orders must be positive, got {tuple(block_orders)}")
+    block_orders = orders
     if sum(block_orders) != n:
         raise ConstructionError(
             f"block orders {block_orders} sum to {sum(block_orders)}, expected n={n}"

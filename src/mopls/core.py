@@ -99,6 +99,14 @@ def _as_tuple(value: object) -> object:
         return value
 
 
+def _indices(values: Iterable[object]) -> tuple[int, ...] | None:
+    """``values`` as plain ints (``operator.index``), or None if one is not an integer."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        return None
+
+
 def _integer_word(cell: object, entries: object, n: int, k: int) -> tuple[Word | None, bool]:
     """The word of a cell whose row, column and entries are all integers, as
     plain ints (``operator.index``), else None, and whether it is in range:
@@ -110,13 +118,10 @@ def _integer_word(cell: object, entries: object, n: int, k: int) -> tuple[Word |
     if not (isinstance(cell, tuple) and len(cell) == 2 and isinstance(entries, tuple)):
         return None, False
     word = cell + entries
-    for x in word:
-        if type(x) is not int:  # plain ints skip the conversion
-            try:
-                word = tuple(map(operator.index, word))
-            except TypeError:
-                return None, False
-            break
+    if any(type(x) is not int for x in word):  # plain ints skip the conversion
+        word = _indices(word)
+        if word is None:
+            return None, False
     return word, len(entries) == k and min(word) >= 0 and max(word) < n
 
 
@@ -412,18 +417,18 @@ class KPartialSquare:
         both invariants and maximality, so the result skips revalidation.
         """
         n, k = self.n, self.k
-        ident = tuple(range(n))
-        rp = tuple(row_perm) if row_perm is not None else ident
-        cp = tuple(col_perm) if col_perm is not None else ident
         if layer_perms is None:
-            lps = [ident] * k
-        else:
-            if len(layer_perms) != k:
-                raise SquareError(f"need {k} layer permutations, got {len(layer_perms)}")
-            lps = [tuple(p) for p in layer_perms]
-        for p in (rp, cp, *lps):
-            if sorted(p) != list(range(n)):
+            layer_perms = [range(n)] * k
+        elif len(layer_perms) != k:
+            raise SquareError(f"need {k} layer permutations, got {len(layer_perms)}")
+        perms = []
+        for p in (row_perm, col_perm, *layer_perms):
+            p = tuple(range(n) if p is None else p)
+            q = _indices(p)
+            if q is None or sorted(q) != list(range(n)):
                 raise SquareError(f"{p} is not a permutation of 0..{n - 1}")
+            perms.append(q)
+        rp, cp, *lps = perms
         cells = {
             (rp[r], cp[c]): tuple(lps[j][e] for j, e in enumerate(entries))
             for (r, c), entries in self._cells.items()
@@ -438,11 +443,12 @@ class KPartialSquare:
         status under the word-agreement condition, so any conjugate of a
         valid square is valid (and maximality is preserved).
         """
-        if sorted(coord_order) != list(range(self.k + 2)):
+        order = _indices(coord_order)
+        if order is None or sorted(order) != list(range(self.k + 2)):
             raise SquareError(f"coord_order must permute 0..{self.k + 1}, got {coord_order}")
         cells: dict[Cell, EntryTuple] = {}
         for w in self.words():
-            new = tuple(w[i] for i in coord_order)
+            new = tuple(w[i] for i in order)
             cell = (new[0], new[1])
             if cell in cells:
                 # two words mapping to one cell means the input was invalid

@@ -78,9 +78,11 @@ WORD_TABLE_LIMIT = 10**4
 
 def _word_table(n: int, k: int) -> list[Word]:
     """Every word of order n, in lexicographic order; raises ValueError for
-    n < 1 or more than ``WORD_TABLE_LIMIT`` words."""
+    n < 1, k < 1 or more than ``WORD_TABLE_LIMIT`` words."""
     if n < 1:
         raise ValueError(f"order must be positive, got n={n}")
+    if k < 1:
+        raise ValueError(f"layer count must be positive, got k={k}")
     if n ** (k + 2) > WORD_TABLE_LIMIT:
         raise ValueError(
             f"order {n} with k={k} has {n}^{k + 2} words; a search holds at most {WORD_TABLE_LIMIT}"
@@ -416,7 +418,7 @@ def min_maximal(
     level it started from when the budget stops the run before it completes
     one; with ``resume`` the run restarts from the last completed level in
     that file.
-    Raises ValueError for n < 1, a budget below 0 or a word table above
+    Raises ValueError for n < 1, k < 1, a budget below 0 or a word table above
     ``WORD_TABLE_LIMIT``.
     """
     if budget is not None and budget < 0:
@@ -503,7 +505,7 @@ def verify_bound_exhaustive(n: int, k: int = 2) -> ExhaustiveReport:
     fewer than ceil(n^2 / 3) cells (for k = 2) and reports whether the
     minimum-size squares have all frequencies equal to n / 3 (only
     decided when n is divisible by 3 and the minimum meets n^2 / 3).
-    Raises ValueError for n < 1 or a word table above ``WORD_TABLE_LIMIT``.
+    Raises ValueError for n < 1, k < 1 or a word table above ``WORD_TABLE_LIMIT``.
     """
     table = _word_table(n, k)
     nodes = 0

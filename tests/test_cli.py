@@ -673,12 +673,18 @@ def test_shared_parser_prints_what_a_fresh_parser_prints(argv, capsys):
 
 
 def test_module_entrypoint_runs_in_a_subprocess(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "mopls.cli", "construct", "min-mopls", "--n", "9"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    def run(module, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, timeout=120
+        )
+
+    proc = run("mopls.cli", "construct", "min-mopls", "--n", "9")
     assert proc.returncode == 0
     assert from_text_grid(proc.stdout, k=2) == min_mopls(9)
+    # the package runs as the same command line
+    package = run("mopls", "construct", "min-mopls", "--n", "9")
+    assert (package.returncode, package.stdout, package.stderr) == (0, proc.stdout, proc.stderr)
+    version = run("mopls", "--version")
+    assert (version.returncode, version.stdout) == (0, "mopls 0.1.0\n")
+
 

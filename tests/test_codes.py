@@ -12,7 +12,6 @@ from conftest import (
     oracle_min_distance,
     partial_squares,
 )
-from mopls import codes
 from mopls.codes import (
     Code,
     WORD_SPACE_LIMIT,
@@ -72,13 +71,9 @@ def codes_with_shared_pairs(draw):
     return Code(alphabet, length, tuple(sorted(words)))
 
 
-@pytest.mark.parametrize("block", [1, 5, 1 << 20])
 @given(code=codes_with_shared_pairs())
-def test_min_distance_matches_the_pairwise_reference_on_random_codes(block, code):
-    # a small block splits the coordinate pairs and the compared words into many blocks
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(codes, "_DISTANCE_BLOCK", block)
-        assert min_distance(code) == oracle_min_distance(code.words)
+def test_min_distance_matches_the_pairwise_reference_on_random_codes(code):
+    assert min_distance(code) == oracle_min_distance(code.words)
 
 
 @pytest.mark.parametrize(
@@ -90,6 +85,9 @@ def test_min_distance_matches_the_pairwise_reference_on_random_codes(block, code
         (((0, 1, 2, 3), (0, 2, 3, 1), (1, 1, 0, 0)), 3),  # no pair repeats, one coordinate does
         (((0, 1, 2, 3), (1, 2, 3, 0)), 4),
         (((2**17, 0, 1), (2**17, 0, 2), (2**17 + 1, 0, 1)), 1),
+        # the length-4 parity code over 3 letters: every coordinate pair's
+        # value pairs repeat, and no two words agree in three places
+        (tuple(w + (-sum(w) % 3,) for w in product(range(3), repeat=3)), 2),
     ],
 )
 def test_min_distance_of_words_sharing_pairs(words, distance):
@@ -100,8 +98,8 @@ def test_min_distance_of_words_sharing_pairs(words, distance):
 def test_min_distance_compares_words_apart_in_their_run():
     # (0, 1, 1, 1, 1) and (2, 1, 1, 1, 1) agree in four coordinates, but for
     # every coordinate pair they share, a word between them in word order
-    # shares it too, and agrees with each of them in two coordinates only;
-    # runs keep word order, so the two are two places apart in every run
+    # shares it too, and agrees with each of them in two coordinates only,
+    # so comparing only neighbours in word order within a shared pair misses them
     middle = []
     for p, q in combinations(range(1, 5), 2):
         word = [1] + [10 + len(middle) * 4 + i for i in range(4)]

@@ -207,6 +207,10 @@ def test_k_mopls_diagonal_validates_blocks():
         k_mopls_diagonal(6, 2, [6, 0])
     with pytest.raises(ConstructionError):
         k_mopls_diagonal(8, 2, [2, 6])  # no pair of order 2 exists
+    # int() would read each of these as 3, 3, 3 and build the square
+    for orders in (["3", "3", "3"], [3.0, 3, 3], [3.9, 3, 3]):
+        with pytest.raises(ConstructionError, match="block orders must be positive"):
+            k_mopls_diagonal(9, 2, orders)
 
 
 def test_min_mopls_error_names_blocking_order():

@@ -232,6 +232,11 @@ def test_relabel_rejects_non_permutation():
     sq = KPartialSquare.empty(3, 1)
     with pytest.raises(SquareError):
         sq.relabel((0, 0, 1), (0, 1, 2), ((0, 1, 2),))
+    # whole floats sort like a permutation, but would become the cells' values
+    with pytest.raises(SquareError, match=r"\(0\.0, 1\.0, 2\.0\) is not a permutation of 0\.\.2"):
+        sq.relabel((0.0, 1.0, 2.0))
+    with pytest.raises(SquareError, match="is not a permutation"):
+        sq.relabel(None, None, ((0.0, 1.0, 2.0),))
 
 
 @given(partial_squares(max_n=5, ks=(1, 2)))
@@ -266,6 +271,8 @@ def test_conjugate_rejects_bad_order():
         sq.conjugate((0, 1, 2))
     with pytest.raises(SquareError):
         sq.conjugate((0, 0, 2, 3))
+    with pytest.raises(SquareError, match=r"coord_order must permute 0..3, got \(1\.0, 0, 2, 3\)"):
+        sq.conjugate((1.0, 0, 2, 3))
 
 
 @given(partial_squares(max_n=6))

@@ -39,6 +39,14 @@ def test_survey_refuses_an_order_past_the_word_table_limit(capsys):
     assert capsys.readouterr().err.startswith("error: order 30 with k=2 has 30^4 words")
 
 
+def test_survey_refuses_a_layer_count_below_one(capsys):
+    script = _load("survey_min_maximal")
+    assert script.main(["--min-n", "2", "--max-n", "3", "--k", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: layer count must be positive, got k=-1\n"
+    assert "histogram" not in captured.out
+
+
 def test_survey_refuses_a_negative_budget(capsys):
     script = _load("survey_min_maximal")
     assert script.main(["--min-n", "4", "--max-n", "4", "--budget", "-1"]) == 2

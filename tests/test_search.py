@@ -64,6 +64,9 @@ def test_a_word_table_past_the_limit_is_a_value_error(search_fn):
     assert len(search._word_table(5, 2)) == 625 and len(search._word_table(3, 3)) == 243
     with pytest.raises(ValueError, match="a search holds at most"):
         search_fn(11)
+    for n, k in [(2, 0), (2, -1), (3, -2)]:
+        with pytest.raises(ValueError, match=f"layer count must be positive, got k={k}"):
+            search_fn(n, k)
 
 
 def _canonical_parents(n, k, levels=None):
