@@ -2,4 +2,5 @@
 
 from .cli import main
 
-raise SystemExit(main())
+if __name__ == "__main__":  # a spawned worker imports this module as __mp_main__
+    raise SystemExit(main())

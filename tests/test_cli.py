@@ -686,5 +686,3 @@ def test_module_entrypoint_runs_in_a_subprocess(tmp_path):
     assert (package.returncode, package.stdout, package.stderr) == (0, proc.stdout, proc.stderr)
     version = run("mopls", "--version")
     assert (version.returncode, version.stdout) == (0, "mopls 0.1.0\n")
-
-
