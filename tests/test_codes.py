@@ -71,9 +71,19 @@ def codes_with_shared_pairs(draw):
     return Code(alphabet, length, tuple(sorted(words)))
 
 
+@pytest.mark.parametrize("shift", [1, 5, 1 << 20])
 @given(code=codes_with_shared_pairs())
-def test_min_distance_matches_the_pairwise_reference_on_random_codes(code):
-    assert min_distance(code) == oracle_min_distance(code.words)
+def test_min_distance_matches_the_pairwise_reference_on_random_codes(shift, code):
+    # the distance depends on which letters agree, not on their values:
+    # translating every letter keeps the code's distance
+    distance = oracle_min_distance(code.words)
+    assert min_distance(code) == distance
+    shifted = Code(
+        code.alphabet_size + shift,
+        code.length,
+        tuple(tuple(x + shift for x in w) for w in code.words),
+    )
+    assert min_distance(shifted) == distance
 
 
 @pytest.mark.parametrize(
