@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -92,11 +92,14 @@ def covering_radius(code: Code) -> int:
     """Greatest distance from any word of the full space to the code.
 
     Exhaustive over all alphabet_size ** length words, computed as a
-    Hamming distance transform: starting from 0 at codewords, relax each
-    coordinate axis once, in ascending order (one substitution costs 1).
-    After the axes 0..j the entry of a word is its least distance, counted
-    on those axes, to a codeword that agrees with it on all later axes, so
-    one pass ends at the exact distances.
+    breadth-first search over Hamming space.  The words within distance d
+    of the code are kept as bits: one packed row along the last coordinate
+    for each prefix of the other coordinates, in the narrowest unsigned
+    integer that holds n bits, or in uint64 limbs above 64 letters.  One
+    step adds every word one substitution away: on each other axis a word
+    is reached once any word of its line is (an OR-reduction along that
+    axis), and on the last axis every non-empty row becomes full.  The
+    radius is the number of steps until every row is full.
     """
     if not code.words:
         raise ValueError("covering radius of an empty code is undefined")
@@ -106,13 +109,35 @@ def covering_radius(code: Code) -> int:
         raise ValueError(
             f"word space {n}^{length} = {space} exceeds the scan limit {WORD_SPACE_LIMIT}"
         )
-    # no distance exceeds length, which numpy caps at 64 axes: int8 holds them
-    dist = np.full((n,) * length, length, dtype=np.int8)
-    index = tuple(np.fromiter((w[p] for w in code.words), dtype=np.int64) for p in range(length))
-    dist[index] = 0
-    for axis in range(length):
-        np.minimum(dist, dist.min(axis=axis, keepdims=True) + 1, out=dist)
-    return int(dist.max())
+    width = 8
+    while width < min(n, 64):
+        width *= 2
+    dtype = np.dtype(f"uint{width}")
+    limbs = -(-n // width)
+    full = np.full(limbs, (1 << width) - 1, dtype=dtype)
+    full[-1] = (1 << (n - width * (limbs - 1))) - 1
+    words = np.fromiter(
+        chain.from_iterable(code.words), dtype=np.int64, count=len(code.words) * length
+    ).reshape(-1, length)
+    last = words[:, -1]
+    # limb-major, so that a step's work across limbs runs over whole planes
+    reached = np.zeros((limbs,) + (n,) * (length - 1), dtype=dtype)
+    # two codewords may share a limb, so their bits are OR-ed in, not
+    # assigned; the shift stays in the row type, since NumPy 1.x promotes
+    # uint64 with int64 to float64
+    index = (last // width,) + tuple(words[:, :-1].T)
+    np.bitwise_or.at(reached, index, dtype.type(1) << (last % width).astype(dtype))
+    planes = reached.reshape(limbs, -1)
+    full_rows = full.reshape((limbs,) + (1,) * (length - 1))
+    radius = 0
+    while not (np.bitwise_and.reduce(planes, axis=1) == full).all():
+        lines = [np.bitwise_or.reduce(reached, axis=a, keepdims=True) for a in range(1, length)]
+        nonempty = reached.any(axis=0)
+        for line in lines:
+            reached |= line
+        np.copyto(reached, full_rows, where=nonempty)
+        radius += 1
+    return radius
 
 
 @dataclass(frozen=True)

@@ -176,8 +176,8 @@ def _load_bundled_pair(m: int) -> KPartialSquare:
         text = res.read_text()
     except FileNotFoundError:
         raise ConstructionError(
-            f"no bundled orthogonal pair of order {m}; "
-            f"run scripts/find_ols_literals.py --orders {m}"
+            f"no orthogonal pair of order {m} is bundled, "
+            f"and scripts/find_ols_literals.py reaches only m <= 12"
         ) from None
     try:
         square = from_json(text)

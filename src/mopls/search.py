@@ -290,7 +290,9 @@ class SearchResult:
 
     ``min_size`` is exact when ``exact`` is set (all smaller levels were
     completed); ``no_maximal_below`` is the proven lower bound either
-    way.  ``nodes`` counts canonical squares accepted during this run.
+    way.  ``nodes`` counts the canonical squares of every completed level
+    above the empty square, including the levels a resumed run read from its
+    checkpoint; a level the budget cut short adds nothing.
     """
 
     n: int

@@ -227,6 +227,20 @@ def oracle_covering_radius(words, alphabet_size: int, length: int) -> int:
     )
 
 
+def oracle_covering_radius_blocked(words, alphabet_size: int, length: int, block: int = 4096) -> int:
+    """:func:`oracle_covering_radius` as a numpy distance matrix between the
+    code and each block of the word space, for codes too large to loop over."""
+    code = np.array(sorted(words), dtype=np.int64).reshape(-1, length)
+    space = alphabet_size**length
+    radius = 0
+    for start in range(0, space, block):
+        index = np.arange(start, min(start + block, space))
+        ws = np.stack(np.unravel_index(index, (alphabet_size,) * length), axis=1)
+        dist = (ws[:, None, :] != code[None, :, :]).sum(axis=2)
+        radius = max(radius, int(dist.min(axis=1).max()))
+    return radius
+
+
 def oracle_max_empty_transversal(square: KPartialSquare, rows, cols) -> int:
     """Largest set of empty cells in the region, no two sharing a row or column."""
     rows = list(rows)

@@ -69,6 +69,17 @@ def test_construct_infeasible_order_exits_4(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_construct_order_without_a_bundled_pair_exits_4(capsys):
+    # the literal search script stops at order 12, so the message must not
+    # send the user there for the missing order 18
+    assert main(["construct", "min-mopls", "--n", "54"]) == 4
+    assert capsys.readouterr().err == (
+        "error: minimum construction for n=54 needs blocks (18, 18, 18): "
+        "no orthogonal pair of order 18 is bundled, "
+        "and scripts/find_ols_literals.py reaches only m <= 12\n"
+    )
+
+
 def test_construct_impossible_pair_exits_4(capsys):
     assert main(["construct", "k-ols", "--k", "2", "--n", "6"]) == 4
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     oracle_covering_radius,
+    oracle_covering_radius_blocked,
     oracle_min_distance,
     partial_squares,
 )
@@ -167,13 +168,15 @@ def test_covering_radius_extremes():
     assert covering_radius(Code(2, 3, ((0, 0, 0),))) == 3
     full = tuple(sorted(product(range(2), repeat=2)))
     assert covering_radius(Code(2, 2, full)) == 0
+    for length in (1, 2, 3, 6):  # one letter: the single word is the code
+        assert covering_radius(Code(1, length, ((0,) * length,))) == 0
 
 
 @pytest.mark.parametrize("n, length", [(2, 1), (2, 5), (3, 3), (3, 5), (4, 4)])
-def test_one_pass_distance_transform_reaches_the_fixpoint(n, length):
+def test_breadth_first_search_reaches_the_word_that_differs_everywhere(n, length):
     # every codeword avoids the symbol n - 1, so the word (n-1, ..., n-1)
-    # differs from each of them in every coordinate: its distance has to be
-    # carried along every axis of the single pass
+    # differs from each of them in every coordinate: the search has to take
+    # length steps, one substitution on each axis, before that row is full
     zero = (0,) * length
     codes = [
         {zero},
@@ -185,6 +188,54 @@ def test_one_pass_distance_transform_reaches_the_fixpoint(n, length):
         words = tuple(sorted(code))
         radius = covering_radius(Code(n, length, words))
         assert radius == length == oracle_covering_radius(words, n, length)
+
+
+def _limb_edge_codes(n, length):
+    """(code, radius) pairs over n letters whose words sit at the 64-bit limb edges.
+
+    The sparse codes leave some letter out of every coordinate, so their
+    radius is ``length``.  The others cover every letter in one coordinate,
+    so every word agrees with a codeword somewhere: radius ``length - 1``.
+    """
+    edges = sorted({0, 1, 62, 63, 64, 65, 127, 128, n - 2, n - 1} & set(range(n)))
+    top = (n - 1,) * (length - 1)
+    return [
+        ({(n - 1,) * length}, length),
+        ({(e,) * (length - 1) + (f,) for e, f in zip(edges, reversed(edges))}, length),
+        ({(e,) + top[1:] + (e,) for e in edges}, length),
+        ({(0,) * (length - 1) + (v,) for v in range(n)}, length - 1),
+        ({(v,) + top for v in range(n)}, length - 1),
+    ]
+
+
+@pytest.mark.parametrize("n, length", [(63, 2), (64, 2), (65, 2), (128, 2), (129, 2), (65, 3)])
+def test_covering_radius_across_limb_edges(n, length):
+    # rows of more than 64 letters span several uint64 limbs: a seed bit in
+    # any limb, a row that is full in every limb and the short last limb
+    # all have to agree with the brute-force distances
+    for words, radius in _limb_edge_codes(n, length):
+        words = tuple(sorted(words))
+        expected = oracle_covering_radius_blocked(words, n, length)
+        if len(words) * n**length <= 10**5:
+            assert expected == oracle_covering_radius(words, n, length)
+        assert covering_radius(Code(n, length, words)) == expected == radius
+
+
+@settings(max_examples=30)
+@given(partial_squares(min_n=1, max_n=3, ks=(3,), allow_empty=False))
+def test_covering_radius_of_three_layer_squares_matches_brute_force(square):
+    code = to_code(square)
+    assert covering_radius(code) == oracle_covering_radius(code.words, square.n, 5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 64, 65, 130])
+def test_covering_radius_of_length_one_codes(n):
+    # a single coordinate has no prefix axes: the radius is 0 when every
+    # letter is a codeword and 1 otherwise
+    every = tuple((v,) for v in range(n))
+    assert covering_radius(Code(n, 1, every)) == 0
+    for some in ((every[1:], every[:-1]) if n > 1 else ()):
+        assert covering_radius(Code(n, 1, some)) == 1 == oracle_covering_radius(some, n, 1)
 
 
 def test_covering_radius_of_empty_code_is_undefined():

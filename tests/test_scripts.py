@@ -33,6 +33,17 @@ def test_find_ols_literals_refuses_orders_it_cannot_enumerate(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_a_missing_bundled_pair_names_the_scripts_reach():
+    # construct's advice for an order without a bundled pair quotes the
+    # script's limit, so it must move with MAX_ORDER
+    from mopls.construct import ConstructionError, k_ols
+
+    with pytest.raises(ConstructionError) as caught:
+        k_ols(2, 14)
+    limit = _load("find_ols_literals").MAX_ORDER
+    assert str(caught.value).endswith(f"scripts/find_ols_literals.py reaches only m <= {limit}")
+
+
 def test_survey_refuses_an_order_past_the_word_table_limit(capsys):
     script = _load("survey_min_maximal")
     assert script.main(["--min-n", "30", "--max-n", "30"]) == 2

@@ -326,6 +326,17 @@ def test_checkpoint_resume_completes_an_interrupted_run(tmp_path):
     assert is_maximal(resumed.witness)
 
 
+def test_nodes_count_the_completed_levels_across_a_resume(tmp_path, capsys):
+    # levels 1-4 of order 4 hold 1, 5, 19 and 168 canonical squares; a budget
+    # stop inside a level counts none of it, and a resumed run keeps counting
+    # from the checkpoint's total
+    cp = str(tmp_path / "cp.json")
+    assert main(["search", "min", "--n", "4", "--budget", "30", "--checkpoint", cp]) == 0
+    assert capsys.readouterr().out.startswith("n=4 k=2 nodes=25 levels_completed=3\n")
+    assert main(["search", "min", "--n", "4", "--budget", "200", "--checkpoint", cp, "--resume"]) == 0
+    assert capsys.readouterr().out.startswith("n=4 k=2 nodes=193 levels_completed=4\n")
+
+
 def _count_checkpoint_saves(monkeypatch):
     saves = []
     save = search._save_checkpoint

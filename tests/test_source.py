@@ -72,3 +72,23 @@ def test_ci_runs_the_tier_1_command():
     tier1 = (ROOT / "ROADMAP.md").read_text().split("**Tier-1 verify:** `", 1)[1].split("`", 1)[0]
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
     assert f"run: {tier1}\n" in workflow
+
+
+def test_covering_radius_reads_only_the_code():
+    # the third maximality checker stays independent of the other two: the
+    # radius comes from the code's words alone, never from the candidate
+    # scan or from a square's Projections index
+    maximality = ast.parse((ROOT / "src" / "mopls" / "maximality.py").read_text())
+    scan = {
+        node.name
+        for node in maximality.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    used = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for node, function in _nodes(ROOT / "src" / "mopls" / "codes.py")
+        if function == "covering_radius" and isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert {"is_maximal", "find_extension"} <= scan
+    assert {"code", "words"} <= used
+    assert used & (scan | {"maximality", "Projections", "projections", "_index"}) == set()
