@@ -10,13 +10,17 @@ computed value with no published reference, so runs of this script are
 the provenance for the frozen numbers in the test suite.
 
 Orders above 4 blow up quickly; use --budget to cap the node count and
---checkpoint-dir to make interrupted levels resumable.
+--checkpoint-dir to make interrupted levels resumable.  Each row gives the
+order's time on a monotonic clock and the process's peak resident memory
+once the order is done (``peak_rss_mb``, Linux ``ru_maxrss``): a high-water
+mark, so it covers every earlier order of the run too.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -31,7 +35,7 @@ CENSUS_LIMIT = 3
 
 def survey_order(n: int, k: int, budget: int | None, checkpoint_dir: Path | None) -> dict:
     bound = lower_bound(n) if k == 2 else 1
-    started = time.time()
+    started = time.perf_counter()
     if n <= CENSUS_LIMIT:
         report = verify_bound_exhaustive(n, k)
         row = {
@@ -59,7 +63,8 @@ def survey_order(n: int, k: int, budget: int | None, checkpoint_dir: Path | None
             "no_maximal_below": result.no_maximal_below,
             "exhausted_budget": result.exhausted_budget,
         }
-    row["seconds"] = round(time.time() - started, 2)
+    row["seconds"] = round(time.perf_counter() - started, 2)
+    row["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     return row
 
 
@@ -77,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         args.checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    print(f"{'n':>3} {'min F':>6} {'bound':>6} {'exact':>6} {'nodes':>10} {'sec':>8}  notes")
+    print(f"{'n':>3} {'min F':>6} {'bound':>6} {'exact':>6} {'nodes':>10} {'sec':>8} {'rss MB':>7}  notes")
     for n in range(args.min_n, args.max_n + 1):
         try:
             row = survey_order(n, args.k, args.budget, args.checkpoint_dir)
@@ -94,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
             notes.append(f"budget hit, proven >= {row['no_maximal_below']}")
         print(
             f"{row['n']:>3} {str(row['min_size']):>6} {row['bound']:>6} "
-            f"{str(row['exact']):>6} {row['nodes']:>10} {row['seconds']:>8.2f}  "
+            f"{str(row['exact']):>6} {row['nodes']:>10} {row['seconds']:>8.2f} {row['peak_rss_mb']:>7.1f}  "
             + "; ".join(notes)
         )
 

@@ -44,12 +44,15 @@ class Code:
     words: tuple[Word, ...]  # sorted lexicographically
 
     def __post_init__(self) -> None:
-        for w in self.words:
-            if len(w) != self.length:
-                raise ValueError(f"word {w} has length {len(w)}, expected {self.length}")
-            if any(not 0 <= x < self.alphabet_size for x in w):
-                raise ValueError(f"word {w} outside alphabet of size {self.alphabet_size}")
-        if len(set(self.words)) != len(self.words):
+        words = self.words
+        letters = set(chain.from_iterable(words))
+        if set(map(len, words)) - {self.length} or not all(0 <= x < self.alphabet_size for x in letters):
+            for w in words:  # name the first bad word
+                if len(w) != self.length:
+                    raise ValueError(f"word {w} has length {len(w)}, expected {self.length}")
+                if any(not 0 <= x < self.alphabet_size for x in w):
+                    raise ValueError(f"word {w} outside alphabet of size {self.alphabet_size}")
+        if len(set(words)) != len(words):
             raise ValueError("duplicate codewords")
 
 

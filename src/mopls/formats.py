@@ -169,7 +169,7 @@ def from_json(text: str) -> KPartialSquare:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != JSON_FORMAT:
         raise ParseError(f"not a {JSON_FORMAT} document")
-    if doc.get("version") != JSON_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != JSON_VERSION:  # True == 1.0 == 1
         raise ParseError(f"unsupported version {doc.get('version')!r}")
     try:
         n, k, raw_cells = doc["n"], doc["k"], doc["cells"]

@@ -43,22 +43,28 @@ least image min(x, used[p]).  So the words whose image falls below the
 list there, and the words whose image ties it, are a few ANDs and ORs of
 per-family value masks, for every word of the table at once.  The leaf of
 that path is the first-appearance cut, and every word ties at its root.
-The driver builds each parent's tie tree once, as a local, before its
-first child, and tries only the words that pass the identity path,
-passing the tree to ``is_canonical`` with each; there the word's bit
-decides the path, and only the remaining tie nodes are walked by label,
-so the answer is exact for any word.  The driver skips the scan of a
-parent with no candidate word.  The value masks and the (family, slot)
-pairs the scans index labels by are computed once per word table, with
-the table's order as the slot width.  ``is_canonical`` called without a
-tree sorts the list and decides it by its own scan: the list is
-canonical when it has a tie tree.
+The driver keeps the trees of the current queue entry's prefixes on a
+stack and grows each from the one below it: P + [w]'s tree is P's with w
+among every node's remaining words, plus the scan that commits w at each
+node where w's image ties the list; growth fails exactly where P + [w] is
+not canonical.  The queue is in lexicographic order, so siblings share
+their parent's tree and an entry regrows only what it does not share with
+the one before.  Only the words that pass a parent's identity path are
+tried, each by ``is_canonical`` with the parent's tree: the word's bit
+decides the path, and the other tie nodes are walked by label, so the
+answer is exact for any word.  A parent with no candidate word gets no
+tree.  The value masks (shared with the compatibility masks) and the
+(family, slot) pairs the scans index labels by are computed once per
+search, with the table's order as the slot width.  ``is_canonical``
+without a tree sorts the list and grows its tree word by word from the
+empty list's: the list is canonical when it has one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, combinations, product
 from math import inf
 from operator import or_
@@ -99,9 +105,10 @@ def _value_masks(words: "Sequence[Word]", order: int) -> list[list[int]]:
     return having
 
 
-def _compat_masks(words: list[Word]) -> list[int]:
+def _compat_masks(words: list[Word], having: list[list[int]] | None = None) -> list[int]:
     """``masks[i]`` has bit j set when words i and j agree in at most one coordinate."""
-    having = _value_masks(words, 1 + max(map(max, words)))
+    if having is None:
+        having = _value_masks(words, 1 + max(map(max, words)))
     full = (1 << len(words)) - 1
     pairs = list(combinations(range(len(words[0])), 2))
     masks = []
@@ -136,22 +143,19 @@ def _smaller_exists(i: int, left: list[int], target: Sequence[Word],
         nodes.append((i, lab[:], nxt[:], left))
     if i == len(target):
         return False  # reached full equality, not strictly smaller
-    if i:
-        goal = target[i]
-        realizers = []
-        for j in left:
-            for p, s in pairs[j]:
-                v = lab[s]
-                if v < 0:
-                    v = nxt[p]
-                if v != goal[p]:
-                    if v < goal[p]:
-                        return True
-                    break
-            else:
-                realizers.append(j)
-    else:
-        realizers = left  # with no labels every least image is 0...0 = target[0]
+    goal = target[i]
+    realizers = []
+    for j in left:
+        for p, s in pairs[j]:
+            v = lab[s]
+            if v < 0:
+                v = nxt[p]
+            if v != goal[p]:
+                if v < goal[p]:
+                    return True
+                break
+        else:
+            realizers.append(j)
     for j in realizers:
         fresh = []
         for p, s in pairs[j]:
@@ -166,6 +170,18 @@ def _smaller_exists(i: int, left: list[int], target: Sequence[Word],
         if found:
             return True
     return False
+
+
+def _commit(node: tuple, wp: tuple, target: Sequence[Word], pairs: tuple, nodes: list | None = None) -> bool:
+    """``_smaller_exists`` once the last word of ``target``, pairs ``wp``, takes ``node``'s position."""
+    i, lab, used, left = node
+    lab = lab[:]
+    used = used[:]
+    for p, s in wp:
+        if lab[s] < 0:
+            lab[s] = used[p]
+            used[p] += 1
+    return _smaller_exists(i + 1, left, target, pairs, lab, used, nodes)
 
 
 def _word_index(words: "Sequence[Word]", order: int) -> tuple:
@@ -186,47 +202,79 @@ def _word_index(words: "Sequence[Word]", order: int) -> tuple:
     return order, slots, having, below, atleast
 
 
-def _tie_tree(prefix: "Sequence[Word]", index: tuple):
-    """The exact scan of a sorted list, kept to decide its children.
+def _tie_tree(prefix: "Sequence[Word]", index: tuple, parent: tuple | None = None):
+    """The exact scan of a list, kept to decide and to grow its children.
 
     ``index`` is ``_word_index`` of a word set that holds the list and
-    every new word to be tried after it; the searches build it once per
-    word table.  None when the list fails the first-appearance cut or is
-    not canonical.  Otherwise (passing, path, rest, pairs, slots).  The
-    scan's nodes at depths 0..s, s = len(prefix), are the identity
-    relabeling, where a value x of family p has the least image
-    ``min(x, used[p])``; so ``passing`` masks the words whose image falls
-    below the list at none of them (at the leaf, below the word itself:
-    the first-appearance cut), and ``path`` pairs the nodes at depths
+    every new word to be tried after it.  None when the list fails the
+    first-appearance cut or is not canonical.  Otherwise (passing, path,
+    rest, pairs, slots, leaf, fails): the scan's nodes, each (depth, label
+    table, used labels, remaining words), are ``path``'s, ``leaf`` and
+    ``rest`` in depth-first order.  Those at depths 0..s, s = len(prefix),
+    are the identity relabeling, where a value x of family p has the least
+    image ``min(x, used[p])``; so ``passing`` masks the words whose image
+    falls below the list at none of them (at the leaf, below the word
+    itself: the first-appearance cut), ``fails`` those whose image falls
+    below it before the leaf, and ``path`` pairs the nodes at depths
     0..s-1 with the masks of the words whose image ties the list there
-    (every word, at the root).  ``rest`` holds every later node, each
-    (depth, label table, used labels, remaining words); ``pairs`` the
-    (family, slot) pairs of the list's words; ``slots`` is the index's.
+    (every word, at the root).  ``pairs`` holds the (family, slot) pairs of
+    the list's words; ``slots`` is the index's.
+
+    The tree is grown from ``parent``, the tree of ``prefix[:-1]``, by the
+    last word w: w joins every node's remaining words, and each node where
+    w's image ties the list gains, after its own subtree, the scan that
+    commits w there.  Without a parent it is grown word by word from the
+    empty list's tree, the one tree not grown.
     """
     order, slots, having, below, atleast = index
-    used = [0] * len(having)
-    fails = 0  # the words whose image falls below the list on the identity path
-    ties = []
-    for goal in prefix:
-        tie = -1  # the words whose image ties goal so far, all at first
-        for p, g in enumerate(goal):
-            if g > used[p]:
-                return None  # the first-appearance cut
-            fails |= tie & below[p][g]
-            if g < used[p]:
-                tie &= having[p][g]
-            else:
-                tie &= atleast[p][g]  # every value from g up maps to g
-                used[p] += 1
-        ties.append(tie)
-    for p, u in enumerate(used):
-        fails |= atleast[p][u + 1]  # the leaf: the first-appearance cut
-    pairs = tuple(slots[w][1] for w in prefix)
-    nodes: list = []
-    if _smaller_exists(0, list(range(len(prefix))), prefix, pairs, [-1] * (len(used) * order), [0] * len(used), nodes):
-        return None
-    passing = ((1 << len(slots)) - 1) & ~fails
-    return passing, tuple(zip(ties, nodes)), nodes[len(prefix) + 1:], pairs, slots
+    full = (1 << len(slots)) - 1
+    if parent is None:
+        tree = (full & ~reduce(or_, (row[1] for row in atleast)), (), [], (), slots,
+                (0, [-1] * (len(having) * order), [0] * len(having), []), 0)
+        for end in range(1, len(prefix) + 1):
+            tree = _tie_tree(prefix[:end], index, tree)
+            if tree is None:
+                return None
+        return tree
+    passing, path, rest, pairs, _, leaf, fails = parent
+    w = prefix[-1]
+    bit, wp = slots[w]
+    if not passing >> bit & 1:
+        return None  # w maps below a word on the identity path, or fails the cut
+    s = len(pairs)
+    pairs += (wp,)
+    used = leaf[2]
+    tie = -1  # the words whose image ties w at the old leaf, all at first
+    for p, g in enumerate(w):
+        fails |= tie & below[p][g]
+        tie &= having[p][g] if g < used[p] else atleast[p][g]  # every value from g up maps to g
+    pending = [node for t, node in path if t >> bit & 1]
+    path = tuple((t, (i, lab, nxt, left + [s])) for t, (i, lab, nxt, left) in path + ((tie, leaf),))
+    grown = []
+    _commit(leaf, wp, prefix, pairs, grown)  # w ties itself at the old leaf
+    leaf = grown.pop()
+    cut = reduce(or_, (row[u + 1] for row, u in zip(atleast, leaf[2])))
+    for node in rest:
+        i, lab, nxt, left = node
+        while pending and pending[-1][0] >= i:  # their subtrees are done
+            if _commit(pending.pop(), wp, prefix, pairs, grown):
+                return None
+        goal = prefix[i]
+        for p, t in wp:
+            v = lab[t]
+            if v < 0:
+                v = nxt[p]
+            if v != goal[p]:
+                if v < goal[p]:
+                    return None  # w maps below word i (at a leaf, below itself)
+                break
+        else:
+            pending.append(node)
+        grown.append((i, lab, nxt, left + [s]))
+    while pending:
+        if _commit(pending.pop(), wp, prefix, pairs, grown):
+            return None
+    return full & ~(fails | cut), path, grown, pairs, slots, leaf, fails
 
 
 def is_canonical(words: "Sequence[Word]", tree: tuple | None = None) -> bool:
@@ -238,8 +286,10 @@ def is_canonical(words: "Sequence[Word]", tree: tuple | None = None) -> bool:
     from their one new word.  w's bits in the tree's masks decide the
     identity path, branching where w ties, and only the other tie nodes
     are walked by label, so the answer is exact for every such w, also one
-    the driver drops by the masks.  Without a tree the list is sorted and
-    decided by its own tie tree.
+    the driver drops by the masks.  Nothing is recorded: the driver grows
+    only the trees of the parents it expands.  Without a tree the list is
+    sorted and its tree grown word by word: the list is canonical when it
+    has one.
     """
     if tree is None:
         words = sorted(map(tuple, words))
@@ -247,7 +297,7 @@ def is_canonical(words: "Sequence[Word]", tree: tuple | None = None) -> bool:
             return True
         order = 1 + max(map(max, words))
         return _tie_tree(words, _word_index(words, order)) is not None
-    passing, path, rest, pairs, slots = tree
+    passing, path, rest, pairs, slots, _, _ = tree
     w = words[-1]  # the one new word
     bit, wp = slots[w]
     if not passing >> bit & 1:
@@ -269,14 +319,8 @@ def is_canonical(words: "Sequence[Word]", tree: tuple | None = None) -> bool:
                 branches.append((i, lab, used, left))
     # at each tie, w takes position i and the scan finishes from there
     pairs += (wp,)
-    for i, lab, used, left in branches:
-        lab = list(lab)
-        used = list(used)
-        for p, s in wp:
-            if lab[s] < 0:
-                lab[s] = used[p]
-                used[p] += 1
-        if _smaller_exists(i + 1, left, words, pairs, lab, used):
+    for node in branches:
+        if _commit(node, wp, words, pairs):
             return False
     return True
 
@@ -312,7 +356,8 @@ class _Budget(Exception):
 
 
 def _levels(table: list[Word], compat: list[int], level: int = 0,
-            queue: "list[tuple[tuple[int, ...], int]] | None" = None, budget: int | None = None):
+            queue: "list[tuple[tuple[int, ...], int]] | None" = None, budget: int | None = None,
+            index: tuple | None = None):
     """Yield ``(level, queue)`` for the given level and each level grown from it.
 
     A queue lists the canonical squares of one size in enumeration order,
@@ -320,11 +365,13 @@ def _levels(table: list[Word], compat: list[int], level: int = 0,
     it defaults to the empty square.  The next level holds their canonical
     children, each square grown only by words above its last.  Stops after
     an empty level; raises ``_Budget`` instead of accepting more than
-    ``budget`` children.
-    """
+    ``budget`` children.  ``index`` is the table's ``_word_index``."""
     if queue is None:
         queue = [((), (1 << len(table)) - 1)]
-    index = _word_index(table, 1 + table[-1][0])  # the last word is (n-1, ..., n-1)
+    if index is None:
+        index = _word_index(table, 1 + table[-1][0])  # the last word is (n-1, ..., n-1)
+    held: tuple[int, ...] = ()  # the last entry whose trees were grown
+    stack = [_tie_tree((), index)]  # stack[j] is the tree of held[:j]
     spent = 0
     while True:
         yield level, queue
@@ -334,11 +381,19 @@ def _levels(table: list[Word], compat: list[int], level: int = 0,
         for words_idx, mask in queue:
             floor = words_idx[-1] if words_idx else -1
             if not mask >> (floor + 1):
-                continue  # no candidate, so no scan
+                continue  # no candidate, so no tree
             words = [table[i] for i in words_idx]
-            tree = _tie_tree(words, index)
-            if tree is None:
+            while held[:len(stack) - 1] != words_idx[:len(stack) - 1]:
+                stack.pop()  # down to the prefix shared with the last entry grown
+            held = words_idx
+            for end in range(len(stack), len(words) + 1):
+                tree = _tie_tree(words[:end], index, stack[-1])
+                if tree is None:
+                    break
+                stack.append(tree)
+            if len(stack) <= len(words):
                 continue  # a non-canonical parent, only ever read from a checkpoint
+            tree = stack[-1]
             for w in bits_above(mask & tree[0], floor):  # the words passing its identity path
                 if is_canonical(words + [table[w]], tree):
                     if budget is not None and spent >= budget:
@@ -373,7 +428,7 @@ def _load_checkpoint(path: Path, n: int, k: int, compat: list[int]):
     doc = read_json(path, "checkpoint")
     if not isinstance(doc, dict):
         raise ParseError(f"checkpoint {path} is not a JSON object")
-    if doc.get("version") != CHECKPOINT_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != CHECKPOINT_VERSION:  # True == 1.0 == 1
         raise ParseError(f"unsupported checkpoint version {doc.get('version')!r}")
     raw_queue = doc.get("queue")
     fields_ok = all(_is_index(doc.get(field)) for field in ("n", "k", "level", "nodes"))
@@ -426,7 +481,8 @@ def min_maximal(
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
     table = _word_table(n, k)
-    compat = _compat_masks(table)
+    index = _word_index(table, n)
+    compat = _compat_masks(table, index[2])
 
     start, queue, nodes = 0, None, 0
     cp_path = Path(checkpoint) if checkpoint else None
@@ -439,7 +495,7 @@ def min_maximal(
     min_size = None
     witness = None
     try:
-        for level_num, queue in _levels(table, compat, start, queue, budget):
+        for level_num, queue in _levels(table, compat, start, queue, budget, index):
             if level_num > start:
                 nodes += len(queue)
                 if cp_path is not None:
@@ -515,7 +571,8 @@ def verify_bound_exhaustive(n: int, k: int = 2) -> ExhaustiveReport:
     min_size: int | None = None
     minimum_witnesses: list[KPartialSquare] = []
 
-    for level, queue in _levels(table, _compat_masks(table)):
+    index = _word_index(table, n)
+    for level, queue in _levels(table, _compat_masks(table, index[2]), index=index):
         if level:
             nodes += len(queue)
         for words_idx, mask in queue:

@@ -196,6 +196,51 @@ def oracle_canonical_children(parent, candidates, n: int, k: int) -> list[bool]:
     return [not s for s in smaller.any(axis=0)]
 
 
+def oracle_tie_scan(words, n: int, k: int) -> list | None:
+    """The depth-first scan of a sorted word list from the root, recording
+    every node it visits as (depth, label table, used labels, remaining
+    positions); None when the scan finds a relabeling that maps the list
+    below itself.
+
+    Value x of family p is labelled in slot ``p * n + x``, -1 while
+    unassigned.  At depth 0 every word is committed in turn, as with no
+    labels each word's least image is 0...0; deeper, each remaining word's
+    least image is compared with the list's word at that depth.
+    """
+    words, order, width = [tuple(w) for w in words], n, k + 2
+    nodes: list = []
+
+    def scan(i, left, lab, used) -> bool:
+        nodes.append((i, lab[:], used[:], left))
+        if i == len(words):
+            return False
+        realizers = left
+        if i:
+            realizers = []
+            for j in left:
+                image = tuple(used[p] if lab[p * order + x] < 0 else lab[p * order + x]
+                              for p, x in enumerate(words[j]))
+                if image < words[i]:
+                    return True
+                if image == words[i]:
+                    realizers.append(j)
+        for j in realizers:
+            fresh = [p * order + x for p, x in enumerate(words[j]) if lab[p * order + x] < 0]
+            for slot in fresh:
+                lab[slot] = used[slot // order]
+                used[slot // order] += 1
+            found = scan(i + 1, [t for t in left if t != j], lab, used)
+            for slot in fresh:
+                lab[slot] = -1
+                used[slot // order] -= 1
+            if found:
+                return True
+        return False
+
+    smaller = scan(0, list(range(len(words))), [-1] * (width * order), [0] * width)
+    return None if smaller else nodes
+
+
 def complement_edges(graph) -> tuple[list, Counter, Counter]:
     """A complement graph read back from ``to_edge_list`` and ``vertex_label``
     alone: its edges as a list of ((group, vertex), (group, vertex)) pairs, the

@@ -478,6 +478,29 @@ def test_search_min_foreign_checkpoint_is_malformed_input(tmp_path, capsys, fiel
     assert "error: " in capsys.readouterr().err
 
 
+# JSON true and 1.0 compare equal to 1 in Python, but neither is an integer
+# version of a file
+NEAR_ONE_VERSIONS = pytest.mark.parametrize("version, shown", [("true", "True"), ("1.0", "1.0")], ids=["bool", "float"])
+
+
+@NEAR_ONE_VERSIONS
+def test_a_square_file_version_that_only_equals_one_is_malformed_input(tmp_path, capsys, version, shown):
+    square = tmp_path / "square.json"
+    square.write_text('{"format": "kpls", "version": %s, "n": 2, "k": 1, "cells": []}' % version)
+    assert main(["verify", "maximal", str(square)]) == 3
+    assert f"malformed: unsupported version {shown}\n" in capsys.readouterr().out
+
+
+@NEAR_ONE_VERSIONS
+def test_a_checkpoint_version_that_only_equals_one_is_malformed_input(tmp_path, capsys, version, shown):
+    cp = tmp_path / "cp.json"
+    assert main(["search", "min", "--n", "3", "--budget", "4", "--checkpoint", str(cp)]) == 0
+    capsys.readouterr()
+    cp.write_text(cp.read_text().replace('"version": 1', f'"version": {version}'))
+    assert main(["search", "min", "--n", "3", "--checkpoint", str(cp), "--resume"]) == 3
+    assert capsys.readouterr().err == f"error: unsupported checkpoint version {shown}\n"
+
+
 # -- code and export ----------------------------------------------------------------
 
 

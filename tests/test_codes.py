@@ -49,6 +49,24 @@ def test_code_rejects_malformed_word_lists():
         Code(3, 3, ((0, 1, 2), (0, 1, 2)))
 
 
+@pytest.mark.parametrize(
+    "alphabet, length, words, message",
+    [
+        (3, 3, ((0, 1, 2), (1, 2, 0), (0, 1)), "word (0, 1) has length 2, expected 3"),
+        (3, 3, ((0, 1, 2), (2, 1, 3), (0, 1)), "word (2, 1, 3) outside alphabet of size 3"),
+        (3, 3, ((0, 1, 2), (0, 1), (2, 1, 3)), "word (0, 1) has length 2, expected 3"),
+        (3, 3, ((0, -1, 2), (1, 1, 1)), "word (0, -1, 2) outside alphabet of size 3"),
+        (3, 2, ((0, 1), (0, 1, 2), (1, 1)), "word (0, 1, 2) has length 3, expected 2"),
+        (3, 3, ((0, 1, 2), (1, 2, 0), (0, 1, 2)), "duplicate codewords"),
+    ],
+    ids=["short", "letter-before-length", "length-before-letter", "negative", "long", "duplicate"],
+)
+def test_code_names_the_first_malformed_word(alphabet, length, words, message):
+    with pytest.raises(ValueError) as caught:
+        Code(alphabet, length, words)
+    assert str(caught.value) == message
+
+
 # -- minimum distance ----------------------------------------------------------------
 
 

@@ -66,6 +66,21 @@ def test_survey_refuses_a_negative_budget(capsys):
     assert "budget hit" not in captured.out
 
 
+def test_survey_rows_carry_their_time_and_the_peak_rss(tmp_path, monkeypatch, capsys):
+    script = _load("survey_min_maximal")
+    ticks = iter([10.0, 10.25, 20.0, 20.5, 30.0, 31.0])
+    monkeypatch.setattr(script.time, "perf_counter", lambda: next(ticks))
+    out = tmp_path / "survey.json"
+    assert script.main(["--min-n", "2", "--max-n", "4", "--budget", "30", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["seconds"] for row in rows] == [0.25, 0.5, 1.0]
+    peaks = [row["peak_rss_mb"] for row in rows]
+    assert 0 < peaks[0] <= peaks[1] <= peaks[2]  # a high-water mark
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[-2:] == ["MB", "notes"]
+    assert lines[3].split()[5:7] == ["1.00", f"{peaks[2]:.1f}"]
+
+
 def _bundled_pair() -> tuple[list[list[int]], list[list[int]]]:
     doc = json.loads((SCRIPTS.parent / "src" / "mopls" / "data" / "ols_10.json").read_text())
     left = [[0] * doc["n"] for _ in range(doc["n"])]

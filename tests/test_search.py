@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from conftest import (
     oracle_canonical_children,
     oracle_canonical_form,
     oracle_is_maximal,
+    oracle_tie_scan,
     partial_squares,
     write_half_then_fail,
 )
@@ -145,16 +148,57 @@ def test_the_scan_walks_the_identity_relabeling_first(n, k, levels):
     for ix in parents:
         words = [table[i] for i in ix]
         s = len(words)
-        pairs = tuple(index[1][w][1] for w in words)
-        nodes = []
-        assert not search._smaller_exists(0, list(range(s)), words, pairs, [-1] * (width * n), [0] * width, nodes)
-        _, path, rest, _, _ = search._tie_tree(words, index)
-        assert [node for _, node in path] == nodes[:s] and rest == nodes[s + 1:]
+        nodes = oracle_tie_scan(words, n, k)
+        assert nodes is not None
+        _, path, rest, _, _, leaf, _ = search._tie_tree(words, index)
+        assert [node for _, node in path] == nodes[:s] and leaf == nodes[s] and rest == nodes[s + 1:]
         for i, (depth, lab, used, left) in enumerate(nodes[:s + 1]):
             values = [{w[p] for w in words[:i]} for p in range(width)]
             assert (depth, list(left)) == (i, list(range(i, s)))
             assert used == [len(v) for v in values]
             assert lab == [x if x in values[p] else -1 for p in range(width) for x in range(n)]
+
+
+# every canonical node of these is checked against the scan from the root
+GROWTH_LEVELS = [(1, 1, None), (2, 1, None), (3, 1, None), (4, 1, 7),
+                 (2, 2, None), (3, 2, None), (4, 2, 5), (2, 3, None), (3, 3, None)]
+
+
+def _scan_order(tree):
+    _, path, rest, _, _, leaf, _ = tree
+    return [node for _, node in path] + [leaf] + rest
+
+
+@pytest.mark.parametrize("n, k, levels", GROWTH_LEVELS)
+def test_a_grown_tree_is_the_scan_from_the_root(n, k, levels):
+    """Each canonical node's tree, grown from its parent's as the driver grows
+    it, holds the nodes of the oracle's scan from the root, in its order."""
+    table, parents = _canonical_parents(n, k, levels)
+    index = search._word_index(table, n)
+    trees = {(): search._tie_tree([], index)}
+    for ix in parents[1:]:
+        words = [table[i] for i in ix]
+        trees[ix] = tree = search._tie_tree(words, index, trees[ix[:-1]])
+        assert tree is not None and _scan_order(tree) == oracle_tie_scan(words, n, k), ix
+    assert _scan_order(trees[()]) == oracle_tie_scan([], n, k)
+    assert search._tie_tree(words, index) == tree  # grown word by word from the empty list
+
+
+@pytest.mark.parametrize("n, k, levels", TREE_LEVELS + [(4, 2, 3), (2, 3, None), (3, 3, 3)])
+def test_growth_fails_exactly_where_the_parent_tree_rejects_the_word(n, k, levels):
+    """Every word above a canonical parent's last, compatible or not."""
+    table, parents = _canonical_parents(n, k, levels)
+    index = search._word_index(table, n)
+    outcomes = set()
+    for ix in parents:
+        parent = [table[i] for i in ix]
+        tree = search._tie_tree(parent, index)
+        for w in range(ix[-1] + 1 if ix else 0, len(table)):
+            child = parent + [table[w]]
+            canonical = is_canonical(child, tree)
+            assert (search._tie_tree(child, index, tree) is not None) == canonical, ix + (w,)
+            outcomes.add(canonical)
+    assert outcomes == {False, True}
 
 
 def _oracle_children(table, compat, queue, n, k):
@@ -209,6 +253,33 @@ def test_resume_grows_only_the_canonical_lists_of_a_checkpoint(tmp_path, bad_fir
     result = min_maximal(3, budget=len(expected), checkpoint=cp, resume=True)
     doc = json.loads(cp.read_text())
     assert doc["level"] == 4 and result.nodes == len(expected)
+    assert doc["queue"] == [list(ix) for ix, _ in expected]
+
+
+def test_resume_skips_the_entries_whose_prefix_is_not_canonical(tmp_path):
+    """Entries out of order, one whose first three words a relabeling
+    lowers and one whose first two fail the first-appearance cut, between
+    two canonical ones: the driver regrows the shared prefixes' trees and
+    grows only the canonical entries, as the oracle does."""
+    table = search._word_table(3, 2)
+    compat = search._compat_masks(table)
+    good = [(0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 1, 2)]
+    entries = [
+        good + [(1, 1, 2, 0)],
+        NON_CANONICAL_PREFIX + [(1, 2, 0, 1)],
+        [(0, 0, 0, 0), (0, 2, 2, 2), (1, 0, 1, 2), (2, 1, 0, 2)],
+        good + [(2, 1, 0, 2)],
+    ]
+    lists = [tuple(table.index(w) for w in words) for words in entries]
+    cp = tmp_path / "level.json"
+    cp.write_text(json.dumps({"version": 1, "n": 3, "k": 2, "level": 4, "nodes": 0, "queue": lists}))
+    queue = search._load_checkpoint(cp, 3, 2, compat)[1]
+    assert all(list(bits_above(mask, ix[-1])) for ix, mask in queue)  # each has children to try
+    expected = _oracle_children(table, compat, [queue[0], queue[3]], 3, 2)
+    assert expected
+    result = min_maximal(3, budget=len(expected), checkpoint=cp, resume=True)
+    doc = json.loads(cp.read_text())
+    assert (doc["level"], result.nodes, result.exhausted_budget) == (5, len(expected), True)
     assert doc["queue"] == [list(ix) for ix, _ in expected]
 
 
@@ -277,6 +348,26 @@ def test_min_maximal_checks_its_minimum_against_the_bound(monkeypatch, capsys):
         min_maximal(2)
     assert main(["search", "min", "--n", "2"]) == 1
     assert "this indicates a search bug" in capsys.readouterr().err
+
+
+def _search_peak_rss_mb(n):
+    """The peak RSS of a fresh interpreter that runs the full order-n search.
+
+    Read from the kernel's high-water mark of the new process image, as
+    ``ru_maxrss`` keeps the forking test process's own peak across exec."""
+    code = (f"from mopls.search import min_maximal; assert min_maximal({n}).exact; "
+            "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, check=True)
+    return int(proc.stdout) / 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak RSS from /proc")
+def test_the_order_four_search_holds_few_trees_at_once():
+    """The driver keeps the trees of one queue entry's prefixes alive, not a
+    level's: keeping every expanded parent's tree of a level put the full
+    order-four search 81 MB above the order-three search's peak, and one
+    entry's prefixes put it 14 MB above."""
+    assert _search_peak_rss_mb(4) - _search_peak_rss_mb(3) < 30
 
 
 def test_budget_interrupt_reports_partial_progress():
