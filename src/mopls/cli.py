@@ -366,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_min = p_sea_sub.add_parser("min", help="minimum size of a maximal square")
     p_min.add_argument("--n", type=_at_most(MAX_ORDER), required=True)
     p_min.add_argument("--k", type=_at_most(MAX_LAYERS), default=2)
-    p_min.add_argument("--budget", type=int, help="node budget for this run")
+    p_min.add_argument("--budget", type=int,
+                       help="cap on the canonical squares accepted in this run; "
+                            "nodes= counts only the squares of completed levels")
     p_min.add_argument("--checkpoint", help="checkpoint file (JSON)")
     p_min.add_argument("--resume", action="store_true", help="resume from checkpoint")
     p_min.add_argument("--out", help="write the result as JSON")

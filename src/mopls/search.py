@@ -30,34 +30,33 @@ The search driver asks about every child C of a canonical parent P in
 turn, and C's scan would repeat P's.  So C is decided from the scan of P
 and its one new word w, the largest.  C can be canonical only if P is.
 When P is canonical its scan finds nothing smaller, so it visits every
-tie node (depth, labels, remaining words); these nodes, in depth-first
-order, form P's tie tree.  Every branch of C's scan either passes through
-a tie node of P, where w may be the word whose least image falls below the
-list, or commits w at some depth.  So C is canonical exactly when w's
-least image at no tie node falls below the list's word at that depth (at
-a leaf, where P maps onto itself, below w itself), and the scan finishes
-without a smaller list from each tie node where w's image equals that
-word.  The first s + 1 nodes of the tree of a P of s words are the
-identity relabeling at depths 0..s, where value x of family p has the
-least image min(x, used[p]).  So the words whose image falls below the
-list there, and the words whose image ties it, are a few ANDs and ORs of
-per-family value masks, for every word of the table at once.  The leaf of
-that path is the first-appearance cut, and every word ties at its root.
+tie node (depth, labels, remaining words); these nodes form P's tie tree.
+Every branch of C's scan either passes through a tie node of P, where w
+may be the word whose least image falls below the list, or commits w at
+some depth.  So C is canonical exactly when w's least image at no tie
+node falls below the list's word at that depth (at a leaf, where P maps
+onto itself, below w itself), and the scan finishes without a smaller
+list from each tie node where w's image equals that word.  One walk,
+``_smaller_with``, decides this, and the scans it commits are C's new
+nodes: C's tree is P's with w among every node's remaining words, plus
+those scans.  The first s + 1 nodes of the tree of a P of s words, kept
+in order, are the identity relabeling at depths 0..s, where value x of
+family p has the least image min(x, used[p]).  So the words whose image
+falls below the list there, and the words whose image ties it, are a few
+ANDs and ORs of per-family value masks, for every word of the table at
+once.  The leaf of that path is the first-appearance cut, and every word
+ties at its root.  The other nodes are walked by label, in any order.
 The driver keeps the trees of the current queue entry's prefixes on a
-stack and grows each from the one below it: P + [w]'s tree is P's with w
-among every node's remaining words, plus the scan that commits w at each
-node where w's image ties the list; growth fails exactly where P + [w] is
-not canonical.  The queue is in lexicographic order, so siblings share
-their parent's tree and an entry regrows only what it does not share with
-the one before.  Only the words that pass a parent's identity path are
-tried, each by ``is_canonical`` with the parent's tree: the word's bit
-decides the path, and the other tie nodes are walked by label, so the
-answer is exact for any word.  A parent with no candidate word gets no
-tree.  The value masks (shared with the compatibility masks) and the
-(family, slot) pairs the scans index labels by are computed once per
-search, with the table's order as the slot width.  ``is_canonical``
-without a tree sorts the list and grows its tree word by word from the
-empty list's: the list is canonical when it has one.
+stack and grows each from the one below it.  The queue is in
+lexicographic order, so siblings share their parent's tree and an entry
+regrows only what it does not share with the one before.  Only the words
+that pass a parent's identity path are tried, each by ``is_canonical``
+with the parent's tree.  A parent with no candidate word gets no tree.
+The value masks (shared with the compatibility masks) and the (family,
+slot) pairs the scans index labels by are computed once per search, with
+the table's order as the slot width.  ``is_canonical`` without a tree
+sorts the list and grows its tree word by word from the empty list's:
+the list is canonical when it has one.
 """
 
 from __future__ import annotations
@@ -96,19 +95,9 @@ def _word_table(n: int, k: int) -> list[Word]:
     return list(product(range(n), repeat=k + 2))
 
 
-def _value_masks(words: "Sequence[Word]", order: int) -> list[list[int]]:
-    """``having[p][x]`` has bit i set when value x is in family p of word i."""
-    having = [[0] * order for _ in words[0]]
-    for i, w in enumerate(words):
-        for p, x in enumerate(w):
-            having[p][x] |= 1 << i
-    return having
-
-
-def _compat_masks(words: list[Word], having: list[list[int]] | None = None) -> list[int]:
-    """``masks[i]`` has bit j set when words i and j agree in at most one coordinate."""
-    if having is None:
-        having = _value_masks(words, 1 + max(map(max, words)))
+def _compat_masks(words: list[Word], having: list[list[int]]) -> list[int]:
+    """``masks[i]`` has bit j set when words i and j agree in at most one
+    coordinate; ``having`` is the value masks of ``_word_index(words, ...)``."""
     full = (1 << len(words)) - 1
     pairs = list(combinations(range(len(words[0])), 2))
     masks = []
@@ -190,16 +179,55 @@ def _word_index(words: "Sequence[Word]", order: int) -> tuple:
     (order, slots, having, below, atleast): ``slots[w]`` is word w's bit,
     its position in ``words``, and its (family, slot) pairs, slot
     ``p * order + x`` for value x of family p; ``order`` must exceed every
-    value.  ``having`` is ``_value_masks``; ``below[p][c]`` and
-    ``atleast[p][c]``, for c in 0..order + 1, mask the words whose value in
-    family p is below c and at least c.
+    value.  ``having[p][x]`` masks the words whose value in family p is x;
+    ``below[p][c]`` and ``atleast[p][c]``, for c in 0..order + 1, mask the
+    words whose value in family p is below c and at least c.
     """
-    having = _value_masks(words, order)
+    having = [[0] * order for _ in words[0]]
+    for i, w in enumerate(words):
+        for p, x in enumerate(w):
+            having[p][x] |= 1 << i
     full = (1 << len(words)) - 1
     below = [list(accumulate(row + [0], or_, initial=0)) for row in having]
     atleast = [[full & ~m for m in row] for row in below]
     slots = {w: (i, tuple((p, p * order + x) for p, x in enumerate(w))) for i, w in enumerate(words)}
     return order, slots, having, below, atleast
+
+
+def _smaller_with(tree: tuple, words: "Sequence[Word]", grown: list | None = None) -> bool:
+    """True when some relabeling maps the sorted list ``words`` below itself,
+    where ``tree`` is the tie tree of ``words[:-1]`` and its word set holds
+    the last word w.
+
+    w's bit in ``passing`` decides the identity path; each other node is
+    walked by label, and the first where w's image falls below the list
+    settles it.  Then w is committed at every node where it ties the list,
+    and each such scan, recorded into ``grown`` when given, must find
+    nothing smaller.
+    """
+    passing, path, rest, pairs, slots, _, _ = tree
+    w = words[-1]  # the one new word
+    bit, wp = slots[w]
+    if not passing >> bit & 1:
+        return True  # w maps below a word on the identity path, or fails the cut
+    ties = [node for tie, node in path if tie >> bit & 1]
+    for i, lab, used, left in rest:
+        goal = words[i]
+        for p, s in wp:
+            v = lab[s]
+            if v < 0:
+                v = used[p]
+            if v != goal[p]:
+                if v < goal[p]:
+                    return True  # w maps below word i (at a leaf, below itself)
+                break
+        else:
+            ties.append((i, lab, used, left))
+    pairs += (wp,)
+    for node in ties:  # w takes position i and the scan finishes from there
+        if _commit(node, wp, words, pairs, grown):
+            return True
+    return False
 
 
 def _tie_tree(prefix: "Sequence[Word]", index: tuple, parent: tuple | None = None):
@@ -209,22 +237,22 @@ def _tie_tree(prefix: "Sequence[Word]", index: tuple, parent: tuple | None = Non
     every new word to be tried after it.  None when the list fails the
     first-appearance cut or is not canonical.  Otherwise (passing, path,
     rest, pairs, slots, leaf, fails): the scan's nodes, each (depth, label
-    table, used labels, remaining words), are ``path``'s, ``leaf`` and
-    ``rest`` in depth-first order.  Those at depths 0..s, s = len(prefix),
-    are the identity relabeling, where a value x of family p has the least
-    image ``min(x, used[p])``; so ``passing`` masks the words whose image
-    falls below the list at none of them (at the leaf, below the word
-    itself: the first-appearance cut), ``fails`` those whose image falls
-    below it before the leaf, and ``path`` pairs the nodes at depths
-    0..s-1 with the masks of the words whose image ties the list there
-    (every word, at the root).  ``pairs`` holds the (family, slot) pairs of
-    the list's words; ``slots`` is the index's.
+    table, used labels, remaining words), are ``path``'s and ``leaf``, in
+    the scan's order, and ``rest``, in any order.  Those at depths 0..s,
+    s = len(prefix), are the identity relabeling, where a value x of
+    family p has the least image ``min(x, used[p])``; so ``passing`` masks
+    the words whose image falls below the list at none of them (at the
+    leaf, below the word itself: the first-appearance cut), ``fails`` those
+    whose image falls below it before the leaf, and ``path`` pairs the
+    nodes at depths 0..s-1 with the masks of the words whose image ties
+    the list there (every word, at the root).  ``pairs`` holds the (family,
+    slot) pairs of the list's words; ``slots`` is the index's.
 
     The tree is grown from ``parent``, the tree of ``prefix[:-1]``, by the
-    last word w: w joins every node's remaining words, and each node where
-    w's image ties the list gains, after its own subtree, the scan that
-    commits w there.  Without a parent it is grown word by word from the
-    empty list's tree, the one tree not grown.
+    last word w: w joins every node's remaining words, and the scans that
+    ``_smaller_with`` commits where w's image ties the list come before the
+    parent's nodes in ``rest``.  Without a parent it is grown word by word
+    from the empty list's tree, the one tree not grown.
     """
     order, slots, having, below, atleast = index
     full = (1 << len(slots)) - 1
@@ -236,11 +264,12 @@ def _tie_tree(prefix: "Sequence[Word]", index: tuple, parent: tuple | None = Non
             if tree is None:
                 return None
         return tree
-    passing, path, rest, pairs, _, leaf, fails = parent
+    grown: list = []
+    if _smaller_with(parent, prefix, grown):
+        return None
+    _, path, rest, pairs, _, leaf, fails = parent
     w = prefix[-1]
-    bit, wp = slots[w]
-    if not passing >> bit & 1:
-        return None  # w maps below a word on the identity path, or fails the cut
+    wp = slots[w][1]
     s = len(pairs)
     pairs += (wp,)
     used = leaf[2]
@@ -248,33 +277,13 @@ def _tie_tree(prefix: "Sequence[Word]", index: tuple, parent: tuple | None = Non
     for p, g in enumerate(w):
         fails |= tie & below[p][g]
         tie &= having[p][g] if g < used[p] else atleast[p][g]  # every value from g up maps to g
-    pending = [node for t, node in path if t >> bit & 1]
     path = tuple((t, (i, lab, nxt, left + [s])) for t, (i, lab, nxt, left) in path + ((tie, leaf),))
-    grown = []
     _commit(leaf, wp, prefix, pairs, grown)  # w ties itself at the old leaf
     leaf = grown.pop()
     cut = reduce(or_, (row[u + 1] for row, u in zip(atleast, leaf[2])))
-    for node in rest:
-        i, lab, nxt, left = node
-        while pending and pending[-1][0] >= i:  # their subtrees are done
-            if _commit(pending.pop(), wp, prefix, pairs, grown):
-                return None
-        goal = prefix[i]
-        for p, t in wp:
-            v = lab[t]
-            if v < 0:
-                v = nxt[p]
-            if v != goal[p]:
-                if v < goal[p]:
-                    return None  # w maps below word i (at a leaf, below itself)
-                break
-        else:
-            pending.append(node)
-        grown.append((i, lab, nxt, left + [s]))
-    while pending:
-        if _commit(pending.pop(), wp, prefix, pairs, grown):
-            return None
-    return full & ~(fails | cut), path, grown, pairs, slots, leaf, fails
+    # the new nodes first: a walk meets a rejecting node sooner
+    rest = grown + [(i, lab, nxt, left + [s]) for i, lab, nxt, left in rest]
+    return full & ~(fails | cut), path, rest, pairs, slots, leaf, fails
 
 
 def is_canonical(words: "Sequence[Word]", tree: tuple | None = None) -> bool:
@@ -283,13 +292,11 @@ def is_canonical(words: "Sequence[Word]", tree: tuple | None = None) -> bool:
     ``tree``, when given, is ``_tie_tree`` of ``words[:-1]`` for a sorted
     list ``words`` whose last word w is above the others and in the tree's
     word set; the searches pass each parent's tree to decide its children
-    from their one new word.  w's bits in the tree's masks decide the
-    identity path, branching where w ties, and only the other tie nodes
-    are walked by label, so the answer is exact for every such w, also one
-    the driver drops by the masks.  Nothing is recorded: the driver grows
-    only the trees of the parents it expands.  Without a tree the list is
-    sorted and its tree grown word by word: the list is canonical when it
-    has one.
+    from their one new word.  ``_smaller_with``, the walk that also grows
+    trees, decides it, exact for every such w, also one the driver drops by
+    the masks.  Nothing is recorded: the driver grows only the trees of the
+    parents it expands.  Without a tree the list is sorted and its tree
+    grown word by word: the list is canonical when it has one.
     """
     if tree is None:
         words = sorted(map(tuple, words))
@@ -297,32 +304,7 @@ def is_canonical(words: "Sequence[Word]", tree: tuple | None = None) -> bool:
             return True
         order = 1 + max(map(max, words))
         return _tie_tree(words, _word_index(words, order)) is not None
-    passing, path, rest, pairs, slots, _, _ = tree
-    w = words[-1]  # the one new word
-    bit, wp = slots[w]
-    if not passing >> bit & 1:
-        return False  # w maps below a word on the identity path, or fails the cut
-    branches = [node for tie, node in path if tie >> bit & 1]
-    size = len(pairs)
-    for i, lab, used, left in rest:
-        goal = words[i]
-        for p, s in wp:
-            v = lab[s]
-            if v < 0:
-                v = used[p]
-            if v != goal[p]:
-                if v < goal[p]:
-                    return False  # w maps below word i (at a leaf, below itself)
-                break
-        else:
-            if i < size:
-                branches.append((i, lab, used, left))
-    # at each tie, w takes position i and the scan finishes from there
-    pairs += (wp,)
-    for node in branches:
-        if _commit(node, wp, words, pairs):
-            return False
-    return True
+    return not _smaller_with(tree, words)
 
 
 # -- search driver ------------------------------------------------------------
@@ -336,7 +318,9 @@ class SearchResult:
     completed); ``no_maximal_below`` is the proven lower bound either
     way.  ``nodes`` counts the canonical squares of every completed level
     above the empty square, including the levels a resumed run read from its
-    checkpoint; a level the budget cut short adds nothing.
+    checkpoint; a level the budget cut short adds nothing.  So it differs
+    from ``budget``, which caps the canonical squares accepted in this run,
+    those of the cut level included.
     """
 
     n: int
@@ -355,9 +339,8 @@ class _Budget(Exception):
     pass
 
 
-def _levels(table: list[Word], compat: list[int], level: int = 0,
-            queue: "list[tuple[tuple[int, ...], int]] | None" = None, budget: int | None = None,
-            index: tuple | None = None):
+def _levels(table: list[Word], compat: list[int], index: tuple, level: int = 0,
+            queue: "list[tuple[tuple[int, ...], int]] | None" = None, budget: int | None = None):
     """Yield ``(level, queue)`` for the given level and each level grown from it.
 
     A queue lists the canonical squares of one size in enumeration order,
@@ -368,8 +351,6 @@ def _levels(table: list[Word], compat: list[int], level: int = 0,
     ``budget`` children.  ``index`` is the table's ``_word_index``."""
     if queue is None:
         queue = [((), (1 << len(table)) - 1)]
-    if index is None:
-        index = _word_index(table, 1 + table[-1][0])  # the last word is (n-1, ..., n-1)
     held: tuple[int, ...] = ()  # the last entry whose trees were grown
     stack = [_tie_tree((), index)]  # stack[j] is the tree of held[:j]
     spent = 0
@@ -469,12 +450,13 @@ def min_maximal(
 
     Levels are enumerated in ascending size; the run stops at the first
     level containing a maximal square, which is then the exact minimum.
-    ``budget`` caps accepted canonical squares for this run; when it is
-    exhausted the result reports the proven bound so far.  ``checkpoint``
-    names a JSON file written once at each completed level, and at the
-    level it started from when the budget stops the run before it completes
-    one; with ``resume`` the run restarts from the last completed level in
-    that file.
+    ``budget`` caps the canonical squares accepted in this run, those of a
+    level it cuts short included; when it is exhausted the result reports
+    the proven bound so far, and its ``nodes`` counts only the squares of
+    completed levels.  ``checkpoint`` names a JSON file written once at
+    each completed level, and at the level it started from when the budget
+    stops the run before it completes one; with ``resume`` the run
+    restarts from the last completed level in that file.
     Raises ValueError for n < 1, k < 1, a budget below 0 or a word table above
     ``WORD_TABLE_LIMIT``.
     """
@@ -495,7 +477,7 @@ def min_maximal(
     min_size = None
     witness = None
     try:
-        for level_num, queue in _levels(table, compat, start, queue, budget, index):
+        for level_num, queue in _levels(table, compat, index, start, queue, budget):
             if level_num > start:
                 nodes += len(queue)
                 if cp_path is not None:
@@ -572,7 +554,7 @@ def verify_bound_exhaustive(n: int, k: int = 2) -> ExhaustiveReport:
     minimum_witnesses: list[KPartialSquare] = []
 
     index = _word_index(table, n)
-    for level, queue in _levels(table, _compat_masks(table, index[2]), index=index):
+    for level, queue in _levels(table, _compat_masks(table, index[2]), index):
         if level:
             nodes += len(queue)
         for words_idx, mask in queue:

@@ -66,6 +66,32 @@ def test_survey_refuses_a_negative_budget(capsys):
     assert "budget hit" not in captured.out
 
 
+def test_survey_reports_a_path_it_cannot_write(tmp_path, capsys):
+    script = _load("survey_min_maximal")
+    out = tmp_path / "missing" / "survey.json"
+    assert script.main(["--min-n", "2", "--max-n", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert script.main(["--min-n", "2", "--max-n", "2", "--checkpoint-dir", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(taken) in captured.err
+    assert captured.out == ""
+
+
+def test_survey_exits_3_on_a_malformed_checkpoint_as_the_cli_does(tmp_path, capsys):
+    from mopls.cli import main as cli_main
+
+    script = _load("survey_min_maximal")
+    (tmp_path / "min_4_2.json").write_text('{"version": 1, "n": 4')
+    assert script.main(["--min-n", "4", "--max-n", "4", "--checkpoint-dir", str(tmp_path)]) == 3
+    survey_err = capsys.readouterr().err
+    assert survey_err.startswith("error: checkpoint ") and "is not readable JSON" in survey_err
+    argv = ["search", "min", "--n", "4", "--checkpoint", str(tmp_path / "min_4_2.json"), "--resume"]
+    assert cli_main(argv) == 3
+    assert capsys.readouterr().err == survey_err
+
+
 def test_survey_rows_carry_their_time_and_the_peak_rss(tmp_path, monkeypatch, capsys):
     script = _load("survey_min_maximal")
     ticks = iter([10.0, 10.25, 20.0, 20.5, 30.0, 31.0])

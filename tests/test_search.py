@@ -76,8 +76,9 @@ def _canonical_parents(n, k, levels=None):
     """The canonical squares of at most ``levels`` words (of every size when
     None), in enumeration order, as word-index tuples."""
     table = search._word_table(n, k)
+    index = search._word_index(table, n)
     parents = []
-    for level, queue in search._levels(table, search._compat_masks(table)):
+    for level, queue in search._levels(table, search._compat_masks(table, index[2]), index):
         if levels is not None and level > levels:
             break
         parents += [words for words, _ in queue]
@@ -151,7 +152,8 @@ def test_the_scan_walks_the_identity_relabeling_first(n, k, levels):
         nodes = oracle_tie_scan(words, n, k)
         assert nodes is not None
         _, path, rest, _, _, leaf, _ = search._tie_tree(words, index)
-        assert [node for _, node in path] == nodes[:s] and leaf == nodes[s] and rest == nodes[s + 1:]
+        assert [node for _, node in path] == nodes[:s] and leaf == nodes[s]
+        assert sorted(rest) == sorted(nodes[s + 1:])  # the other nodes, in any order
         for i, (depth, lab, used, left) in enumerate(nodes[:s + 1]):
             values = [{w[p] for w in words[:i]} for p in range(width)]
             assert (depth, list(left)) == (i, list(range(i, s)))
@@ -164,23 +166,30 @@ GROWTH_LEVELS = [(1, 1, None), (2, 1, None), (3, 1, None), (4, 1, 7),
                  (2, 2, None), (3, 2, None), (4, 2, 5), (2, 3, None), (3, 3, None)]
 
 
-def _scan_order(tree):
+def _scan_nodes(tree):
+    """The identity path and its leaf in scan order, then the other nodes sorted."""
     _, path, rest, _, _, leaf, _ = tree
-    return [node for _, node in path] + [leaf] + rest
+    return [node for _, node in path] + [leaf], sorted(rest)
+
+
+def _oracle_nodes(words, n, k):
+    nodes = oracle_tie_scan(words, n, k)
+    return nodes[:len(words) + 1], sorted(nodes[len(words) + 1:])
 
 
 @pytest.mark.parametrize("n, k, levels", GROWTH_LEVELS)
 def test_a_grown_tree_is_the_scan_from_the_root(n, k, levels):
     """Each canonical node's tree, grown from its parent's as the driver grows
-    it, holds the nodes of the oracle's scan from the root, in its order."""
+    it, holds the nodes of the oracle's scan from the root: the identity path
+    in the scan's order, the other nodes as a multiset."""
     table, parents = _canonical_parents(n, k, levels)
     index = search._word_index(table, n)
     trees = {(): search._tie_tree([], index)}
     for ix in parents[1:]:
         words = [table[i] for i in ix]
         trees[ix] = tree = search._tie_tree(words, index, trees[ix[:-1]])
-        assert tree is not None and _scan_order(tree) == oracle_tie_scan(words, n, k), ix
-    assert _scan_order(trees[()]) == oracle_tie_scan([], n, k)
+        assert tree is not None and _scan_nodes(tree) == _oracle_nodes(words, n, k), ix
+    assert _scan_nodes(trees[()]) == _oracle_nodes([], n, k)
     assert search._tie_tree(words, index) == tree  # grown word by word from the empty list
 
 
@@ -218,9 +227,10 @@ def test_levels_hold_the_oracle_children_of_the_level_before(n, k, levels):
     """The driver decides each child with its parent's tie tree, so every level
     it yields checks the trees it passed, not only ``is_canonical`` alone."""
     table = search._word_table(n, k)
-    compat = search._compat_masks(table)
+    index = search._word_index(table, n)
+    compat = search._compat_masks(table, index[2])
     before = None
-    for level, queue in search._levels(table, compat):
+    for level, queue in search._levels(table, compat, index):
         if before is not None:
             assert queue == _oracle_children(table, compat, before, n, k), level
         if level == levels:
@@ -235,7 +245,7 @@ NON_CANONICAL_PREFIX = [(0, 0, 0, 0), (0, 1, 1, 1), (1, 1, 2, 2)]
 @pytest.mark.parametrize("bad_first", [True, False], ids=["non-canonical-first", "canonical-first"])
 def test_resume_grows_only_the_canonical_lists_of_a_checkpoint(tmp_path, bad_first):
     table = search._word_table(3, 2)
-    compat = search._compat_masks(table)
+    compat = search._compat_masks(table, search._word_index(table, 3)[2])
     good = [(0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 1, 2)]
     assert oracle_canonical_form(good, 3, 2) == tuple(good)
     assert oracle_canonical_form(NON_CANONICAL_PREFIX, 3, 2) < tuple(NON_CANONICAL_PREFIX)
@@ -262,7 +272,7 @@ def test_resume_skips_the_entries_whose_prefix_is_not_canonical(tmp_path):
     two canonical ones: the driver regrows the shared prefixes' trees and
     grows only the canonical entries, as the oracle does."""
     table = search._word_table(3, 2)
-    compat = search._compat_masks(table)
+    compat = search._compat_masks(table, search._word_index(table, 3)[2])
     good = [(0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 1, 2)]
     entries = [
         good + [(1, 1, 2, 0)],
@@ -302,7 +312,7 @@ def test_compat_masks_match_pairwise_agreement(n, k):
         sum(1 << j for j, b in enumerate(table) if j != i and oracle_agreements(a, b) <= 1)
         for i, a in enumerate(table)
     ]
-    assert search._compat_masks(table) == expected
+    assert search._compat_masks(table, search._word_index(table, n)[2]) == expected
 
 
 def test_canonical_square_stays_canonical_after_largest_word_removed():

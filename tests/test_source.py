@@ -67,6 +67,18 @@ def test_only_validation_fills_an_index():
     assert _callers("fill") == {("core.py", "validate")}
 
 
+def test_one_walk_decides_a_child_and_grows_its_tree():
+    # is_canonical and tree growth share _smaller_with, so the search holds
+    # the label comparison twice: in the scan and in that one walk
+    assert _callers("_smaller_with") == {("search.py", "is_canonical"), ("search.py", "_tie_tree")}
+    compared = sorted(
+        function
+        for node, function in _nodes(ROOT / "src" / "mopls" / "search.py")
+        if isinstance(node, ast.Compare) and ast.unparse(node) == "v < goal[p]"
+    )
+    assert compared == ["_smaller_exists", "_smaller_with"]
+
+
 def test_ci_runs_the_tier_1_command():
     # the workflow's test step is ROADMAP's Tier-1 line, word for word
     tier1 = (ROOT / "ROADMAP.md").read_text().split("**Tier-1 verify:** `", 1)[1].split("`", 1)[0]
