@@ -32,8 +32,8 @@ import numpy as np
 from .core import KPartialSquare, Word
 from .maximality import is_maximal
 
-#: Exhaustive covering-radius scans are limited to this many words.
-WORD_SPACE_LIMIT = 10**7
+#: Exhaustive covering-radius scans are limited to this many words (at k = 2, n <= 102).
+WORD_SPACE_LIMIT = 11 * 10**7
 
 @dataclass(frozen=True)
 class Code:

@@ -11,7 +11,10 @@ which in particular forces F >= ceil(n^2 / 3).  The verifiers locate m
 and t for a concrete square and evaluate the inequality; the structure
 verifiers check that squares attaining ceil(n^2 / 3) (respectively
 ceil(n^2 / 2) for one layer) decompose into full diagonal blocks of the
-predicted near-equal orders.
+predicted near-equal orders.  Both read the square's kept ``Projections``
+index, not its cells: frequencies, block classes and their columns and
+symbols are popcounts and ORs of its bit rows, and transversals are
+sought among the empty cells of one of its coordinate planes.
 
 Maximality is not re-tested inside the structure verifiers: once a
 square is confirmed to consist of B complete blocks on disjoint index
@@ -24,8 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
+import numpy as np
+
 from .construct import ConstructionPlan, mopls_plan, mpls_plan
-from .core import Cell, KPartialSquare, SelfCheckError, SquareError, lower_bound
+from .core import Cell, KPartialSquare, SelfCheckError, SquareError, bits_above, lower_bound
 from .maximality import is_maximal
 
 
@@ -43,6 +48,16 @@ def inequality_rhs(n: int, m: int, t: int) -> int:
 
 
 # -- bipartite matching on empty cells -----------------------------------------
+
+
+def _grid(table: list, a: int, b: int) -> np.ndarray:
+    """The n x n bool plane of coordinates (a, b) of a ``Projections`` table:
+    [x, y] is True when some word has w[a] = x and w[b] = y."""
+    lines = table[min(a, b)][max(a, b)]
+    n, size = len(lines), -(-len(lines) // 8)
+    data = np.frombuffer(b"".join(mask.to_bytes(size, "little") for mask in lines), np.uint8)
+    grid = np.unpackbits(data.reshape(n, size), axis=1, count=n, bitorder="little").view(bool)
+    return grid if a < b else grid.T
 
 
 def _alternate(
@@ -117,11 +132,20 @@ class TransversalReport:
 
 
 def max_empty_transversal(
-    square: KPartialSquare, rows: "list[int] | tuple[int, ...]", cols: "list[int] | tuple[int, ...]"
+    square: KPartialSquare, rows: "list[int] | tuple[int, ...]", cols: "list[int] | tuple[int, ...]",
+    coords: tuple[int, int] = (0, 1),
 ) -> TransversalReport:
-    """Largest set of empty cells in rows x cols, one per row and column."""
+    """Largest set of empty cells in rows x cols, one per row and column.
+
+    The cells are those of the plane of word coordinates ``coords`` = (p, q),
+    read off the square's index: (r, c) is filled when some word has w[p] = r
+    and w[q] = c.  The default plane is the square's own grid.
+    """
     rows = tuple(rows)
     cols = tuple(cols)
+    p, q = coords
+    if p == q or not 0 <= min(p, q) <= max(p, q) <= square.k + 1:
+        raise ValueError(f"coords must be two distinct coordinates in 0..{square.k + 1}, got {coords}")
     if len(rows) != len(cols):
         raise ValueError(f"region must be square, got {len(rows)} rows x {len(cols)} cols")
     for idx in (*rows, *cols):
@@ -129,7 +153,10 @@ def max_empty_transversal(
             raise ValueError(f"index {idx} outside 0..{square.n - 1}")
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         raise ValueError("region rows and cols must be distinct")
-    masks = [sum(1 << j for j, c in enumerate(cols) if not square.is_filled((r, c))) for r in rows]
+    empty = ~_grid(square.projections().table, p, q)[np.ix_(rows, cols)]
+    packed = np.packbits(empty, axis=1, bitorder="little")
+    size, data = packed.shape[1], packed.tobytes()
+    masks = [int.from_bytes(data[i * size:(i + 1) * size], "little") for i in range(len(rows))]
     match_left, _, cover_left, cover_right = _max_matching(masks, len(cols))
     matching = tuple((rows[u], cols[v]) for u, v in enumerate(match_left) if v != -1)
     # a cover as large as the matching that every empty cell touches
@@ -186,24 +213,10 @@ def check_lemma2(
     # matched lines first, then the rest in region order
     row_order = tuple(dict.fromkeys([*(r for r, _ in report.matching), *report.rows]))
     col_order = tuple(dict.fromkeys([*(c for _, c in report.matching), *report.cols]))
-    col_set = set(report.cols)
-    row_set = set(report.rows)
-    f_row = {
-        r: sum(1 for c in col_set if square.is_filled((r, c))) for r in report.rows
-    }
-    f_col = {
-        c: sum(1 for r in row_set if square.is_filled((r, c))) for c in report.cols
-    }
-    residual_filled = all(
-        square.is_filled((row_order[i], col_order[j]))
-        for i in range(t, d)
-        for j in range(t, d)
-    )
-    freq_ok = all(
-        f_row[row_order[i]] + f_col[col_order[j]] >= 2 * d - t
-        for i in range(t, d)
-        for j in range(t, d)
-    )
+    filled = _grid(square.projections().table, 0, 1)[np.ix_(row_order, col_order)]
+    residual_filled = bool(filled[t:, t:].all())
+    # in-region fill of each residual row plus that of each residual column
+    freq_ok = bool((filled.sum(axis=1)[t:, None] + filled.sum(axis=0)[t:] >= 2 * d - t).all())
     return Lemma2Report(
         ok=residual_filled and freq_ok,
         d=d,
@@ -226,16 +239,17 @@ def locate_min_frequency(square: KPartialSquare) -> tuple[int, int, int]:
     """(coordinate family, index, count) of the least-frequent coordinate.
 
     Families are scanned in word order (row, col, then entry layers) and
-    ties go to the earliest family, then the least index.
+    ties go to the earliest family, then the least index.  In a valid square
+    the values that one value pairs with in another coordinate are distinct,
+    so a value's count is the popcount of its index row; the last coordinate
+    is counted down the columns of its plane with the first.
     """
-    freq = square.frequencies()
-    families = [freq.row_counts, freq.col_counts, *freq.layer_counts]
-    best = (0, 0, families[0][0])
-    for fam, counts in enumerate(families):
-        for idx, count in enumerate(counts):
-            if count < best[2]:
-                best = (fam, idx, count)
-    return best
+    table = square.projections().table
+    last = square.k + 1
+    families = [[mask.bit_count() for mask in table[a][a + 1]] for a in range(last)]
+    families.append(_grid(table, last, 0).sum(axis=1).tolist())
+    count, fam, idx = min((c, fam, idx) for fam, counts in enumerate(families) for idx, c in enumerate(counts))
+    return fam, idx, count
 
 
 @dataclass(frozen=True)
@@ -257,11 +271,12 @@ class BoundReport:
 def verify_bound(square: KPartialSquare) -> BoundReport:
     """Locate (m, t) for a maximal two-layer square and check the inequality.
 
-    The minimum frequency may sit in any of the four coordinate families;
-    the square is conjugated so that family plays the first-entry role,
-    which changes nothing about validity, maximality or fill.  The region
-    searched for the empty transversal is the complement of the rows and
-    columns containing the minimum-frequency first entry.
+    The minimum frequency may sit in any of the four coordinate families.
+    The conjugate in which that family plays the first-entry role has the
+    same validity, maximality and fill, and its rows and columns are the
+    coordinates (p, q): (2, 1) for a row, (0, 2) for a column, (0, 1) for a
+    layer.  So the index is read in that plane: the empty transversal is
+    sought among the p- and q-values that do not pair with the least-frequent value.
     """
     if square.k != 2:
         raise SquareError(f"fill inequality applies to two layers, got k={square.k}")
@@ -269,18 +284,16 @@ def verify_bound(square: KPartialSquare) -> BoundReport:
         raise SquareError("fill inequality applies to maximal squares only")
     n = square.n
     fam, idx, m = locate_min_frequency(square)
-    swap_to_first_entry = [(2, 1, 0, 3), (0, 2, 1, 3), (0, 1, 2, 3), (0, 1, 3, 2)][fam]
-    conj = square.conjugate(swap_to_first_entry)
-    rows_with = {r for (r, _), entries in conj.cells.items() if entries[0] == idx}
-    cols_with = {c for (_, c), entries in conj.cells.items() if entries[0] == idx}
-    if not len(rows_with) == len(cols_with) == m:
+    plane = ((2, 1), (0, 2), (0, 1), (0, 1))[fam]
+    table = square.projections().table
+    rows_with, cols_with = (_grid(table, fam, a)[idx] for a in plane)
+    if not rows_with.sum() == cols_with.sum() == m:
         raise SelfCheckError(
-            f"symbol {idx} fills {len(rows_with)} rows and {len(cols_with)} cols of the "
+            f"symbol {idx} fills {rows_with.sum()} rows and {cols_with.sum()} cols of the "
             f"conjugate, not its minimum frequency {m}"
         )
-    region_rows = sorted(set(range(n)) - rows_with)
-    region_cols = sorted(set(range(n)) - cols_with)
-    t = max_empty_transversal(conj, region_rows, region_cols).size
+    region = [np.flatnonzero(~with_idx).tolist() for with_idx in (rows_with, cols_with)]
+    t = max_empty_transversal(square, *region, plane).size
     required = inequality_rhs(n, m, t)
     filled = square.filled_count
     return BoundReport(
@@ -329,29 +342,25 @@ def _fail(square: KPartialSquare, reason: str, note: str | None = None) -> Struc
     )
 
 
-def _recover_blocks(square: KPartialSquare) -> list[set[int]]:
-    """Row classes under 'shares a symbol in some layer', via union-find."""
-    parent = list(range(square.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    seen: dict[tuple[int, int], int] = {}
-    for (r, _), entries in square.cells.items():
-        for key in enumerate(entries):
-            if key in seen:
-                rx, ry = find(seen[key]), find(r)
-                if rx != ry:
-                    parent[rx] = ry
+def _row_classes(table: list, k: int) -> list[tuple[int, list[int]]]:
+    """Row classes under 'shares a symbol in some layer' of a ``Projections``
+    table: (row mask, symbol mask per layer) of each, ascending by size, then
+    least row.  Row r (if it has cells) merges every class whose symbol masks
+    meet its own, ``table[0][2 + j][r]``, in some layer j.
+    """
+    classes: list[tuple[int, list[int]]] = []
+    for r, first in enumerate(table[0][2]):
+        if not first:
+            continue
+        rows, syms, apart = 1 << r, [table[0][2 + j][r] for j in range(k)], []
+        for other_rows, other_syms in classes:
+            if any(a & b for a, b in zip(syms, other_syms)):
+                rows |= other_rows
+                syms = [a | b for a, b in zip(syms, other_syms)]
             else:
-                seen[key] = r
-    groups: dict[int, set[int]] = {}
-    for r, _ in square.cells:
-        groups.setdefault(find(r), set()).add(r)
-    return sorted(groups.values(), key=lambda g: (len(g), min(g)))
+                apart.append((other_rows, other_syms))
+        classes = apart + [(rows, syms)]
+    return sorted(classes, key=lambda c: (c[0].bit_count(), c[0] & -c[0]))
 
 
 def _verify_block_structure(
@@ -362,58 +371,49 @@ def _verify_block_structure(
     Rows that share a symbol share a class, so classes never overlap in
     symbols; once each class of m rows touches m columns and the orders
     match the plan (which sums to n), the columns overlap iff fewer than n
-    are touched.
+    are touched.  A class's columns, symbols and fill are ORs and popcounts
+    of its rows' index masks.
     """
     n, k = square.n, square.k
     if square.filled_count != plan.filled:
         return _fail(square, f"filled={square.filled_count}, minimum squares have {plan.filled}", note)
-    row_sets = _recover_blocks(square)
-    if len(row_sets) != len(plan.block_orders):
+    table = square.projections().table
+    classes = _row_classes(table, k)
+    if len(classes) != len(plan.block_orders):
         return _fail(
             square,
-            f"expected {len(plan.block_orders)} blocks, found {len(row_sets)} row classes",
+            f"expected {len(plan.block_orders)} blocks, found {len(classes)} row classes",
             note,
         )
-    block_of = {r: b for b, rows in enumerate(row_sets) for r in rows}
-    col_sets: list[set[int]] = [set() for _ in row_sets]
-    sym_sets = [[set() for _ in range(k)] for _ in row_sets]  # per block, per layer
-    counts = [0] * len(row_sets)
-    for (r, c), entries in square.cells.items():
-        b = block_of[r]
-        col_sets[b].add(c)
-        counts[b] += 1
-        for syms, e in zip(sym_sets[b], entries):
-            syms.add(e)
-    for rows, cols, syms, count in zip(row_sets, col_sets, sym_sets, counts):
-        m = len(rows)
-        if len(cols) != m or any(len(s) != m for s in syms):
-            return _fail(
-                square,
-                f"block with rows {sorted(rows)} touches {len(cols)} cols and "
-                f"{[len(s) for s in syms]} symbols per layer, expected {m} each",
-                note,
-            )
+    col_masks, covered = [], 0
+    for rows, syms in classes:
+        m, cols, count = rows.bit_count(), 0, 0
+        for r in bits_above(rows, -1):
+            cols |= table[0][1][r]
+            count += table[0][1][r].bit_count()
+        col_masks.append(cols)
+        covered |= cols
+        if cols.bit_count() != m or any(s.bit_count() != m for s in syms):
+            return _fail(square, f"block with rows {list(bits_above(rows, -1))} touches {cols.bit_count()} cols "
+                         f"and {[s.bit_count() for s in syms]} symbols per layer, expected {m} each", note)
         if count != m * m:
-            return _fail(
-                square,
-                f"block with rows {sorted(rows)} has {count} filled cells, expected {m * m}",
-                note,
-            )
-    orders = tuple(len(rows) for rows in row_sets)
+            return _fail(square, f"block with rows {list(bits_above(rows, -1))} has {count} filled cells, "
+                         f"expected {m * m}", note)
+    orders = tuple(rows.bit_count() for rows, _ in classes)
     if sorted(orders) != sorted(plan.block_orders):
         return _fail(square, f"block orders {orders} do not match expected {plan.block_orders}", note)
-    if len(set().union(*col_sets)) != n:
+    if covered != (1 << n) - 1:
         return _fail(square, "blocks overlap in columns or symbols", note)
     # build canonical relabeling: ascending blocks onto consecutive ranges
     row_perm = [0] * n
     col_perm = [0] * n
     layer_perms = [[0] * n for _ in range(k)]
     offset = 0
-    for rows, cols, syms in zip(row_sets, col_sets, sym_sets):
+    for (rows, syms), cols in zip(classes, col_masks):
         for perm, labels in ((row_perm, rows), (col_perm, cols), *zip(layer_perms, syms)):
-            for pos, x in enumerate(sorted(labels)):
+            for pos, x in enumerate(bits_above(labels, -1)):
                 perm[x] = offset + pos
-        offset += len(rows)
+        offset += rows.bit_count()
     canonical = square.relabel(row_perm, col_perm, [tuple(p) for p in layer_perms])
     # exhaustive recheck in canonical coordinates
     offset = 0

@@ -18,8 +18,9 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from mopls import KPartialSquare, Violation
-from mopls.core import _classify
+from mopls.core import _classify, lower_bound
 from mopls.maximality import _allowed, _tuple_of_rank, maximalize
+from mopls.verify import BoundReport, Lemma2Report, StructureReport, inequality_rhs
 
 DATA = Path(__file__).parent / "data"
 
@@ -330,6 +331,156 @@ def oracle_max_matching(adj, n_right):
     for u in range(len(adj)):
         augment(u, [False] * n_right)
     return match_left, match_right
+
+
+def oracle_min_frequency(square: KPartialSquare) -> tuple[int, int, int]:
+    """(family, index, count) of the first least count of ``frequencies``, the
+    families in word order (row, col, then entry layers)."""
+    freq = square.frequencies()
+    families = [freq.row_counts, freq.col_counts, *freq.layer_counts]
+    best = (0, 0, families[0][0])
+    for fam, counts in enumerate(families):
+        for idx, count in enumerate(counts):
+            if count < best[2]:
+                best = (fam, idx, count)
+    return best
+
+
+def oracle_bound(square: KPartialSquare) -> BoundReport:
+    """``verify_bound``'s report of a maximal two-layer square, cell by cell:
+    the least frequency from ``frequencies``, the conjugate in which its family
+    is the first entry layer, and the largest empty transversal of that
+    conjugate's rows and columns free of the least-frequent value.
+
+    The transversal is the size of a maximum matching of the region's empty
+    cells by the recursive augmenting-path matcher: the region is up to
+    two-thirds of n wide, out of reach of ``oracle_max_empty_transversal``'s
+    enumeration above n = 15.
+    """
+    n = square.n
+    fam, idx, m = oracle_min_frequency(square)
+    conj = square.conjugate([(2, 1, 0, 3), (0, 2, 1, 3), (0, 1, 2, 3), (0, 1, 3, 2)][fam])
+    rows = [r for r in range(n) if all(conj.cells.get((r, c), (None,))[0] != idx for c in range(n))]
+    cols = [c for c in range(n) if all(conj.cells.get((r, c), (None,))[0] != idx for r in range(n))]
+    empties = [[j for j, c in enumerate(cols) if not conj.is_filled((r, c))] for r in rows]
+    t = sum(v != -1 for v in oracle_max_matching(empties, len(cols))[0])
+    required = inequality_rhs(n, m, t)
+    filled = square.filled_count
+    return BoundReport(
+        n=n, filled=filled, min_frequency=m, family=("row", "col", "layer1", "layer2")[fam], index=idx,
+        transversal=t, required=required, ok=filled >= required, tight=filled == required,
+        attains_lower_bound=filled == lower_bound(n),
+    )
+
+
+def oracle_lemma2(square: KPartialSquare, report) -> Lemma2Report:
+    """``check_lemma2``'s report for the transversal ``report``, cell by cell:
+    matched lines first, then the rest in region order; the residual block
+    must be filled, and each residual row's plus column's in-region fill must
+    reach 2d - t."""
+    t, d = report.size, len(report.rows)
+    row_order = tuple(dict.fromkeys([*(r for r, _ in report.matching), *report.rows]))
+    col_order = tuple(dict.fromkeys([*(c for _, c in report.matching), *report.cols]))
+    f_row = {r: sum(square.is_filled((r, c)) for c in report.cols) for r in report.rows}
+    f_col = {c: sum(square.is_filled((r, c)) for r in report.rows) for c in report.cols}
+    residual = [(row_order[i], col_order[j]) for i in range(t, d) for j in range(t, d)]
+    residual_filled = all(square.is_filled(cell) for cell in residual)
+    freq_ok = all(f_row[r] + f_col[c] >= 2 * d - t for r, c in residual)
+    return Lemma2Report(
+        ok=residual_filled and freq_ok, d=d, t=t, row_order=row_order, col_order=col_order,
+        residual_filled=residual_filled, freq_ok=freq_ok,
+    )
+
+
+def oracle_row_classes(square: KPartialSquare) -> list[set[int]]:
+    """Row classes under 'shares a symbol in some layer', by union-find over
+    the cells, ascending by size, then least row; a row without cells is in none."""
+    parent = list(range(square.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    seen: dict[tuple[int, int], int] = {}
+    for (r, _), entries in square.cells.items():
+        for key in enumerate(entries):
+            if key in seen:
+                rx, ry = find(seen[key]), find(r)
+                if rx != ry:
+                    parent[rx] = ry
+            else:
+                seen[key] = r
+    groups: dict[int, set[int]] = {}
+    for r, _ in square.cells:
+        groups.setdefault(find(r), set()).add(r)
+    return sorted(groups.values(), key=lambda g: (len(g), min(g)))
+
+
+def oracle_block_structure(square: KPartialSquare, plan, note) -> StructureReport:
+    """The structure report of ``square`` against ``plan``'s blocks, cell by
+    cell: ``oracle_row_classes``, each class's column and per-layer symbol sets
+    and fill from its cells, the canonical relabeling onto consecutive
+    ascending blocks, and a recheck of every block cell of the result."""
+    n, k = square.n, square.k
+
+    def fail(reason):
+        return StructureReport(
+            ok=False, reason=reason, n=n, k=k, block_orders=None, row_perm=None, col_perm=None,
+            layer_perms=None, canonical=None, note=note,
+        )
+
+    if square.filled_count != plan.filled:
+        return fail(f"filled={square.filled_count}, minimum squares have {plan.filled}")
+    row_sets = oracle_row_classes(square)
+    if len(row_sets) != len(plan.block_orders):
+        return fail(f"expected {len(plan.block_orders)} blocks, found {len(row_sets)} row classes")
+    block_of = {r: b for b, rows in enumerate(row_sets) for r in rows}
+    col_sets = [set() for _ in row_sets]
+    sym_sets = [[set() for _ in range(k)] for _ in row_sets]
+    counts = [0] * len(row_sets)
+    for (r, c), entries in square.cells.items():
+        b = block_of[r]
+        col_sets[b].add(c)
+        counts[b] += 1
+        for syms, e in zip(sym_sets[b], entries):
+            syms.add(e)
+    for rows, cols, syms, count in zip(row_sets, col_sets, sym_sets, counts):
+        m = len(rows)
+        if len(cols) != m or any(len(s) != m for s in syms):
+            return fail(
+                f"block with rows {sorted(rows)} touches {len(cols)} cols and "
+                f"{[len(s) for s in syms]} symbols per layer, expected {m} each"
+            )
+        if count != m * m:
+            return fail(f"block with rows {sorted(rows)} has {count} filled cells, expected {m * m}")
+    orders = tuple(len(rows) for rows in row_sets)
+    if sorted(orders) != sorted(plan.block_orders):
+        return fail(f"block orders {orders} do not match expected {plan.block_orders}")
+    if len(set().union(*col_sets)) != n:
+        return fail("blocks overlap in columns or symbols")
+    perms = [[0] * n for _ in range(k + 2)]
+    offset = 0
+    for rows, cols, syms in zip(row_sets, col_sets, sym_sets):
+        for perm, labels in zip(perms, (rows, cols, *syms)):
+            for pos, x in enumerate(sorted(labels)):
+                perm[x] = offset + pos
+        offset += len(rows)
+    canonical = square.relabel(perms[0], perms[1], [tuple(p) for p in perms[2:]])
+    offset = 0
+    for m in orders:
+        for r in range(offset, offset + m):
+            for c in range(offset, offset + m):
+                entries = canonical.entries_at((r, c))
+                if entries is None or any(not offset <= e < offset + m for e in entries):
+                    return fail("canonical form fails the diagonal block recheck")
+        offset += m
+    return StructureReport(
+        ok=True, reason=None, n=n, k=k, block_orders=orders, row_perm=tuple(perms[0]),
+        col_perm=tuple(perms[1]), layer_perms=tuple(tuple(p) for p in perms[2:]), canonical=canonical,
+        note=note,
+    )
 
 
 # -- strategies ----------------------------------------------------------------

@@ -511,6 +511,22 @@ def test_code_analyze_consistent(square_file, capsys):
     assert "consistent=True" in out
 
 
+def test_code_analyze_reaches_order_57(tmp_path, capsys):
+    # 57^4 words: past the scan limit of 10^7 words, within that of 1.1 * 10^8
+    path = tmp_path / "fifty-seven.json"
+    save_square(min_mopls(57), path)
+    assert main(["code", "analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "min_distance=3 covering_radius=2" in out and "consistent=True" in out
+
+
+def test_code_analyze_refuses_a_word_space_past_its_limit(tmp_path, capsys):
+    path = tmp_path / "hundred-five.json"
+    save_square(min_mopls(105), path)
+    assert main(["code", "analyze", str(path)]) == 2
+    assert capsys.readouterr().err == "error: word space 105^4 = 121550625 exceeds the scan limit 110000000\n"
+
+
 def test_code_analyze_of_the_empty_square_has_no_covering_radius(tmp_path, capsys):
     path = tmp_path / "empty.json"
     save_square(KPartialSquare.empty(4, 2), path)

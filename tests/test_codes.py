@@ -262,8 +262,8 @@ def test_covering_radius_of_empty_code_is_undefined():
 
 
 def test_covering_radius_word_space_guard():
-    huge = Code(100, 4, ((0, 0, 0, 0),))
-    assert 100**4 > WORD_SPACE_LIMIT
+    huge = Code(105, 4, ((0, 0, 0, 0),))
+    assert 105**4 > WORD_SPACE_LIMIT
     with pytest.raises(ValueError):
         covering_radius(huge)
 

@@ -1,5 +1,7 @@
 """Tests for fill bounds, transversal certificates and structure recovery."""
 
+import itertools
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil
 from random import Random
@@ -8,10 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_max_empty_transversal, oracle_max_matching, partial_squares
+from conftest import (
+    oracle_block_structure,
+    oracle_bound,
+    oracle_lemma2,
+    oracle_max_empty_transversal,
+    oracle_max_matching,
+    oracle_min_frequency,
+    oracle_row_classes,
+    partial_squares,
+)
 from mopls import verify
-from mopls.construct import k_ols, min_mopls, min_mpls
-from mopls.core import KPartialSquare, SelfCheckError, SquareError
+from mopls.construct import k_ols, min_mopls, min_mpls, mopls_plan, mpls_plan
+from mopls.core import KPartialSquare, SelfCheckError, SquareError, bits_above
 from mopls.maximality import maximalize
 from mopls.verify import (
     check_lemma2,
@@ -490,3 +501,117 @@ def test_structure_failure_reasons_are_pinned(case):
     assert report.n == square.n and report.k == square.k
     assert report.block_orders is report.row_perm is report.col_perm is None
     assert report.layer_perms is report.canonical is None
+
+
+# -- the index reads against their per-cell oracles ----------------------------------
+
+
+def _shuffled(square, seed):
+    """``square`` under seeded permutations of every coordinate's values and of
+    the coordinates themselves, rebuilt from its words."""
+    rng = Random(seed)
+    width = square.k + 2
+    perms = [rng.sample(range(square.n), square.n) for _ in range(width)]
+    order = rng.sample(range(width), width)
+    words = [[perms[p][x] for p, x in enumerate(w)] for w in square.words()]
+    return KPartialSquare.from_words(square.n, square.k, [[w[p] for p in order] for w in words])
+
+
+def _random_maximal(k):
+    return [maximalize(KPartialSquare.empty(n, k), policy="random", seed=seed) for n in range(2, 9) for seed in range(3)]
+
+
+def _every_family_first(square):
+    """The conjugates of ``square`` by the transpositions that move its
+    least-frequent family to each family in turn."""
+    fam = oracle_min_frequency(square)[0]
+    for target in range(square.k + 2):
+        order = list(range(square.k + 2))
+        order[fam], order[target] = order[target], order[fam]
+        yield square.conjugate(tuple(order))
+
+
+def _classes(square):
+    return [set(bits_above(rows, -1)) for rows, _ in verify._row_classes(square.projections().table, square.k)]
+
+
+def _check_structure(verifier, square):
+    report = verifier(square)
+    plan = (mpls_plan if verifier is verify_hr_structure else mopls_plan)(square.n)
+    assert report == oracle_block_structure(square, plan, report.note)
+    assert _classes(square) == oracle_row_classes(square)
+
+
+@pytest.mark.parametrize("n", [9, 10, 12, 15, 21, 30])
+def test_index_reads_match_the_oracles_on_relabeled_minimum_squares(n):
+    for seed in range(2):
+        square = _shuffled(min_mopls(n), seed)
+        assert locate_min_frequency(square) == oracle_min_frequency(square)
+        assert verify_bound(square) == oracle_bound(square)
+        _check_structure(verify_min_structure, square)
+
+
+def test_index_reads_match_the_oracles_with_the_least_frequency_in_every_family():
+    families = set()
+    for square in _random_maximal(2):
+        for conj in _every_family_first(square):
+            families.add(locate_min_frequency(conj)[0])
+            assert locate_min_frequency(conj) == oracle_min_frequency(conj)
+            assert verify_bound(conj) == oracle_bound(conj)
+            _check_structure(verify_min_structure, conj)
+    assert families == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("case", list(STRUCTURE_FAILURES), ids=list(STRUCTURE_FAILURES))
+def test_structure_failures_match_the_oracle(case):
+    verifier, square, _ = STRUCTURE_FAILURES[case]
+    _check_structure(verifier, square)
+
+
+def test_one_layer_structure_matches_the_oracle():
+    squares = [_shuffled(min_mpls(n), seed) for n in (1, 2, 5, 6, 7, 10) for seed in range(2)]
+    for square in squares + [conj for sq in _random_maximal(1) for conj in _every_family_first(sq)]:
+        _check_structure(verify_hr_structure, square)
+
+
+@given(partial_squares(ks=(1, 2, 3)), st.data())
+def test_transversal_in_any_plane_is_that_of_the_conjugate(square, data):
+    n, width = square.n, square.k + 2
+    p, q = data.draw(st.permutations(range(width)))[:2]
+    d = data.draw(st.integers(0, n))
+    rows = data.draw(st.permutations(range(n)))[:d]
+    cols = data.draw(st.permutations(range(n)))[:d]
+    conj = square.conjugate((p, q, *(x for x in range(width) if x not in (p, q))))
+    report = max_empty_transversal(square, rows, cols, (p, q))
+    assert report == max_empty_transversal(conj, rows, cols)
+    assert report.size == oracle_max_empty_transversal(conj, rows, cols)
+    # the masks the matcher is given are the empty cells of the region, by position
+    masks = [sum(1 << j for j, c in enumerate(cols) if not conj.is_filled((r, c))) for r in rows]
+    assert report.matching == tuple(
+        (rows[u], cols[v]) for u, v in enumerate(verify._max_matching(masks, d)[0]) if v != -1
+    )
+
+
+def test_transversal_rejects_bad_planes():
+    square = KPartialSquare.empty(4, 2)
+    for coords in ((1, 1), (0, 4), (-1, 1)):
+        with pytest.raises(ValueError, match="coords must be two distinct coordinates in 0..3"):
+            max_empty_transversal(square, [0], [0], coords)
+
+
+@given(partial_squares(), st.data())
+def test_forced_fill_matches_the_oracle_on_any_transversal(square, data):
+    n = square.n
+    d = data.draw(st.integers(0, n))
+    rows = data.draw(st.permutations(range(n)))[:d]
+    cols = data.draw(st.permutations(range(n)))[:d]
+    report = max_empty_transversal(square, rows, cols)
+    assert check_lemma2(square, rows, cols) == oracle_lemma2(square, report)
+    if report.size:
+        # one matched cell fewer leaves an empty cell in the residual block
+        short = replace(report, size=report.size - 1, matching=report.matching[:-1])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "max_empty_transversal", lambda *args: short)
+            got = check_lemma2(square, rows, cols)
+        assert got == oracle_lemma2(square, short)
+        assert not got.residual_filled and not got.ok
