@@ -1,6 +1,5 @@
 """Tests for fill bounds, transversal certificates and structure recovery."""
 
-import itertools
 from dataclasses import replace
 from fractions import Fraction
 from math import ceil
@@ -518,7 +517,9 @@ def _shuffled(square, seed):
 
 
 def _random_maximal(k):
-    return [maximalize(KPartialSquare.empty(n, k), policy="random", seed=seed) for n in range(2, 9) for seed in range(3)]
+    return [
+        maximalize(KPartialSquare.empty(n, k), policy="random", seed=seed) for n in range(2, 9) for seed in range(3)
+    ]
 
 
 def _every_family_first(square):
