@@ -35,6 +35,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -195,10 +196,13 @@ def cmd_verify(ctx: RunContext, args: argparse.Namespace) -> int:
     what = args.what
     if what == "maximal":
         paths = args.files
-        if args.threads and args.threads > 1 and len(paths) > 1:
+        # the CPUs this process may run on, where the platform tells
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(args.threads or 1, len(paths), cpus)
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=min(args.threads, len(paths))) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_verify_one_maximal, paths))
         else:
             results = [_verify_one_maximal(p) for p in paths]
@@ -357,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("files", nargs="+", help="square file(s): several for maximal, one otherwise")
     p_ver.add_argument("--rows", help="comma-separated region rows (lemma2)")
     p_ver.add_argument("--cols", help="comma-separated region cols (lemma2)")
-    p_ver.add_argument("--threads", type=int, help="parallel workers for maximal batches, at most one per file")
+    p_ver.add_argument("--threads", type=int,
+                       help="parallel workers for maximal batches, at most one per file and one per usable CPU")
     p_ver.add_argument("--json", action="store_true", help="machine-readable report")
     p_ver.set_defaults(func=cmd_verify)
 

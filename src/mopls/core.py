@@ -272,6 +272,17 @@ class Projections:
             column[:] = masks[p * n:(p + 1) * n]
         return True
 
+    def plane(self, a: int, b: int) -> np.ndarray:
+        """The n x n bool plane of two distinct coordinates: [x, y] is True when
+        some word has w[a] = x and w[b] = y, so plane(b, a) is its transpose."""
+        if a == b or not 0 <= min(a, b) <= max(a, b) < len(self.table):
+            raise ValueError(f"coords must be two distinct coordinates in 0..{len(self.table) - 1}, got {(a, b)}")
+        lines = self.table[min(a, b)][max(a, b)]
+        n, size = len(lines), -(-len(lines) // 8)
+        data = np.frombuffer(b"".join(mask.to_bytes(size, "little") for mask in lines), np.uint8)
+        grid = np.unpackbits(data.reshape(n, size), axis=1, count=n, bitorder="little").view(bool)
+        return grid if a < b else grid.T
+
     def copy(self) -> "Projections":
         """An independent index of the same words."""
         clone = Projections(len(self.table[0][1]), len(self.table))

@@ -5,7 +5,8 @@ entry layer.  Each filled cell marks the complete graph on its k + 2
 coordinate vertices as used; distinct cells mark edge-disjoint cliques
 because their words share at most one coordinate.  The complement graph
 keeps every cross-group edge that no cell uses, as one boolean n x n
-matrix per group pair a < b, built from the words.
+matrix per group pair a < b: the complement of that pair's plane of the
+square's kept ``Projections`` index.
 
 A legal insertion is exactly a set of k + 2 pairwise-adjacent complement
 vertices, one per group; vertices in the same group are never adjacent,
@@ -18,7 +19,8 @@ every allowed vertex s of the second-last layer at once: with the rows,
 columns and last-layer vertices narrowed to R_s, C_s and T_s, a clique
 is a nonzero of ``((E01 & C_s) @ E1L > 0) & E0L`` in R_s x T_s (triangle
 detection by matrix multiplication, as float32 products in slices of
-about ``_PRODUCT_CELLS`` entries).  Its witness is checked on the words.
+about ``_PRODUCT_CELLS`` entries).  Its witness is checked by adding it to
+a copy of the index, which must find no clash.
 
 Bookkeeping facts, checked from the edge list by
 ``tests/test_graphview.py::test_density_identity`` and
@@ -44,18 +46,15 @@ _PRODUCT_CELLS = 1 << 20
 class ComplementGraph:
     """Boolean adjacency matrices of the complement graph, per group pair a < b."""
 
-    __slots__ = ("n", "k", "groups", "_words", "_adj")
+    __slots__ = ("n", "k", "groups", "_projections", "_adj")
 
     def __init__(self, square: KPartialSquare):
-        self.n = n = square.n
+        self.n = square.n
         self.k = square.k
         self.groups = square.k + 2
-        words = self._words = np.array(square.words(), dtype=np.intp).reshape(-1, self.groups)
+        index = self._projections = square.projections()
         # _adj[a, b][x, y]: no word has w[a] = x and w[b] = y
-        self._adj = {}
-        for a, b in combinations(range(self.groups), 2):
-            self._adj[a, b] = adj = np.ones((n, n), dtype=bool)
-            adj[words[:, a], words[:, b]] = False
+        self._adj = {(a, b): ~index.plane(a, b) for a, b in combinations(range(self.groups), 2)}
 
     def find_clique(self) -> list[tuple[int, int]] | None:
         """A (k+2)-clique as [(group, vertex), ...], or None.
@@ -104,7 +103,7 @@ class ComplementGraph:
 
         ones = np.ones((1, n), dtype=bool)
         vertices = search(2, np.zeros((1, 0), np.intp), ones, ones, np.ones((1, k, n), dtype=bool))
-        if vertices is not None and (self._words == vertices).sum(axis=1).max(initial=0) > 1:
+        if vertices is not None and self._projections.copy().add(vertices):
             raise SelfCheckError(f"clique {vertices} is not a legal insertion into the square")
         return None if vertices is None else list(enumerate(vertices))
 

@@ -149,7 +149,8 @@ def find_extension(square: KPartialSquare) -> ExtensionWitness | None:
     repeated calls name the same witness.
     """
     n, k = square.n, square.k
-    table = square.projections().table
+    index = square.projections()
+    table = index.table
     words = -(-n // 64)
     full = (1 << n) - 1
 
@@ -162,9 +163,7 @@ def find_extension(square: KPartialSquare) -> ExtensionWitness | None:
     row_free = _packed([free(0, 2 + j) for j in range(k)], words)
     col_free = _packed([free(1, 2 + j) for j in range(k)], words)
     pair_free = [_packed([free(2 + i, 2 + j) for j in range(i + 1, k)], words) for i in range(k - 1)]
-    filled = np.zeros((n, n), dtype=bool)
-    if square.cells:
-        filled[tuple(zip(*square.cells))] = True
+    filled = index.plane(0, 1)
 
     def first_survivor(i: int, owner: np.ndarray, masks: np.ndarray) -> int | None:
         """Least owner of a row whose masks for layers i.. leave a legal

@@ -50,16 +50,6 @@ def inequality_rhs(n: int, m: int, t: int) -> int:
 # -- bipartite matching on empty cells -----------------------------------------
 
 
-def _grid(table: list, a: int, b: int) -> np.ndarray:
-    """The n x n bool plane of coordinates (a, b) of a ``Projections`` table:
-    [x, y] is True when some word has w[a] = x and w[b] = y."""
-    lines = table[min(a, b)][max(a, b)]
-    n, size = len(lines), -(-len(lines) // 8)
-    data = np.frombuffer(b"".join(mask.to_bytes(size, "little") for mask in lines), np.uint8)
-    grid = np.unpackbits(data.reshape(n, size), axis=1, count=n, bitorder="little").view(bool)
-    return grid if a < b else grid.T
-
-
 def _alternate(
     masks: list[int], match_right: list[int], roots: "list[int] | tuple[int, ...]"
 ) -> tuple[list[tuple[int, int]] | None, int]:
@@ -143,9 +133,6 @@ def max_empty_transversal(
     """
     rows = tuple(rows)
     cols = tuple(cols)
-    p, q = coords
-    if p == q or not 0 <= min(p, q) <= max(p, q) <= square.k + 1:
-        raise ValueError(f"coords must be two distinct coordinates in 0..{square.k + 1}, got {coords}")
     if len(rows) != len(cols):
         raise ValueError(f"region must be square, got {len(rows)} rows x {len(cols)} cols")
     for idx in (*rows, *cols):
@@ -153,7 +140,7 @@ def max_empty_transversal(
             raise ValueError(f"index {idx} outside 0..{square.n - 1}")
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         raise ValueError("region rows and cols must be distinct")
-    empty = ~_grid(square.projections().table, p, q)[np.ix_(rows, cols)]
+    empty = ~square.projections().plane(*coords)[np.ix_(rows, cols)]
     packed = np.packbits(empty, axis=1, bitorder="little")
     size, data = packed.shape[1], packed.tobytes()
     masks = [int.from_bytes(data[i * size:(i + 1) * size], "little") for i in range(len(rows))]
@@ -213,7 +200,7 @@ def check_lemma2(
     # matched lines first, then the rest in region order
     row_order = tuple(dict.fromkeys([*(r for r, _ in report.matching), *report.rows]))
     col_order = tuple(dict.fromkeys([*(c for _, c in report.matching), *report.cols]))
-    filled = _grid(square.projections().table, 0, 1)[np.ix_(row_order, col_order)]
+    filled = square.projections().plane(0, 1)[np.ix_(row_order, col_order)]
     residual_filled = bool(filled[t:, t:].all())
     # in-region fill of each residual row plus that of each residual column
     freq_ok = bool((filled.sum(axis=1)[t:, None] + filled.sum(axis=0)[t:] >= 2 * d - t).all())
@@ -244,10 +231,10 @@ def locate_min_frequency(square: KPartialSquare) -> tuple[int, int, int]:
     so a value's count is the popcount of its index row; the last coordinate
     is counted down the columns of its plane with the first.
     """
-    table = square.projections().table
+    index = square.projections()
     last = square.k + 1
-    families = [[mask.bit_count() for mask in table[a][a + 1]] for a in range(last)]
-    families.append(_grid(table, last, 0).sum(axis=1).tolist())
+    families = [[mask.bit_count() for mask in index.table[a][a + 1]] for a in range(last)]
+    families.append(index.plane(last, 0).sum(axis=1).tolist())
     count, fam, idx = min((c, fam, idx) for fam, counts in enumerate(families) for idx, c in enumerate(counts))
     return fam, idx, count
 
@@ -285,8 +272,7 @@ def verify_bound(square: KPartialSquare) -> BoundReport:
     n = square.n
     fam, idx, m = locate_min_frequency(square)
     plane = ((2, 1), (0, 2), (0, 1), (0, 1))[fam]
-    table = square.projections().table
-    rows_with, cols_with = (_grid(table, fam, a)[idx] for a in plane)
+    rows_with, cols_with = (square.projections().plane(fam, a)[idx] for a in plane)
     if not rows_with.sum() == cols_with.sum() == m:
         raise SelfCheckError(
             f"symbol {idx} fills {rows_with.sum()} rows and {cols_with.sum()} cols of the "
@@ -415,15 +401,13 @@ def _verify_block_structure(
                 perm[x] = offset + pos
         offset += rows.bit_count()
     canonical = square.relabel(row_perm, col_perm, [tuple(p) for p in layer_perms])
-    # exhaustive recheck in canonical coordinates
-    offset = 0
-    for m in orders:
-        for r in range(offset, offset + m):
-            for c in range(offset, offset + m):
-                entries = canonical.entries_at((r, c))
-                if entries is None or any(not offset <= e < offset + m for e in entries):
-                    return _fail(square, "canonical form fails the diagonal block recheck", note)
-        offset += m
+    # recheck in canonical coordinates: F = sum of m^2 cells, each with its row,
+    # column and entries in one block, fill every block
+    block = [b for b, m in enumerate(orders) for _ in range(m)]
+    if canonical.filled_count != plan.filled or any(
+        len({block[x] for x in (r, c, *entries)}) > 1 for (r, c), entries in canonical.cells.items()
+    ):
+        return _fail(square, "canonical form fails the diagonal block recheck", note)
     return StructureReport(
         ok=True,
         reason=None,

@@ -260,6 +260,18 @@ def complement_edges(graph) -> tuple[list, Counter, Counter]:
     return edges, pair_edges, neighbours
 
 
+def oracle_complement_edges(square: KPartialSquare) -> list:
+    """The complement graph's edges from their definition, as sorted
+    ((group, vertex), (group, vertex)) pairs: (a, x) and (b, y), a < b, are
+    joined when no word has w[a] = x and w[b] = y."""
+    words = square.words()
+    edges = []
+    for a, b in itertools.combinations(range(square.k + 2), 2):
+        used = {(w[a], w[b]) for w in words}
+        edges += [((a, x), (b, y)) for x in range(square.n) for y in range(square.n) if (x, y) not in used]
+    return sorted(edges)
+
+
 def oracle_min_distance(words) -> int:
     return min(
         sum(x != y for x, y in zip(a, b)) for a, b in itertools.combinations(words, 2)

@@ -15,7 +15,7 @@ from time import perf_counter
 
 import pytest
 
-from conftest import complement_edges, oracle_candidates, oracle_max_empty_transversal
+from conftest import complement_edges, oracle_candidates, oracle_complement_edges, oracle_max_empty_transversal
 from mopls.codes import check_code_equivalence, covering_radius, min_distance, to_code
 from mopls.construct import k_mopls_diagonal, k_ols, min_mopls, min_mpls
 from mopls.core import KPartialSquare
@@ -63,7 +63,10 @@ def test_constructions_maximal_by_three_checkers(minimum_squares):
     start = perf_counter()
     for n, square in minimum_squares.items():
         direct = is_maximal(square)
-        clique_free = has_clique(complement(square)) is None
+        graph = complement(square)
+        # the graph comes from the index is_maximal reads: pin it to the words
+        assert sorted(complement_edges(graph)[0]) == oracle_complement_edges(square)
+        clique_free = has_clique(graph) is None
         report = check_code_equivalence(square)
         assert direct and clique_free
         assert report.maximal and report.consistent

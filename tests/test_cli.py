@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -175,8 +176,10 @@ def test_verify_maximal_batch_with_threads(square_file, tmp_path, capsys):
     assert out.count(": maximal (") == 2
 
 
-def test_verify_maximal_caps_workers_at_the_file_count(square_file, tmp_path, monkeypatch, capsys):
-    # a fake pool that records its size and maps serially: no worker is started
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the process pools a test asks for, through a fake pool that
+    maps serially: no worker is started."""
     import concurrent.futures
 
     sizes = []
@@ -195,11 +198,42 @@ def test_verify_maximal_caps_workers_at_the_file_count(square_file, tmp_path, mo
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def _pin_cpus(monkeypatch, affinity, count):
+    """Make this process see ``affinity`` as its usable CPUs (no affinity call
+    when None) and ``count`` as the host's."""
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def test_verify_maximal_caps_workers_at_the_file_count(square_file, tmp_path, monkeypatch, pool_sizes, capsys):
+    _pin_cpus(monkeypatch, 64, 64)
     other = tmp_path / "six.txt"
     save_square(min_mpls(6), other)
     assert main(["verify", "maximal", str(square_file), str(other), "--threads", "100000"]) == 0
-    assert sizes == [2]
+    assert pool_sizes == [2]
     assert capsys.readouterr().out.count(": maximal (") == 2
+
+
+@pytest.mark.parametrize(
+    "affinity, count, sizes",
+    [(3, 64, [3]), (1, 64, []), (None, 3, [3]), (None, 1, []), (None, None, [])],
+)
+def test_verify_maximal_caps_workers_at_the_cpu_count(
+    square_file, monkeypatch, pool_sizes, capsys, affinity, count, sizes
+):
+    # five files and --threads 10000 ask for one worker per CPU this process may
+    # use (the host's count where the platform has no affinity call), and for no
+    # pool on one CPU or when the count is unknown
+    _pin_cpus(monkeypatch, affinity, count)
+    assert main(["verify", "maximal", *[str(square_file)] * 5, "--threads", "10000"]) == 0
+    assert pool_sizes == sizes
+    assert capsys.readouterr().out.count(": maximal (") == 5
 
 
 def test_verify_maximal_batch_reports_every_file(square_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -393,6 +394,23 @@ def test_the_array_built_index_matches_its_definition(n, k):
             assert square.validate() == core.ValidationReport(ok=True, violations=())
         table = square.projections().table
         assert table == oracle_projection_table(square.words(), n, k + 2)
+
+
+@pytest.mark.parametrize("n", [1, 9, 65, 130])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_plane_is_the_scatter_of_the_words(n, k):
+    # n = 9 is no whole number of bytes, 65 and 130 span two and three limbs
+    for square in (KPartialSquare.empty(n, k), *(_random_valid_square(n, k, seed) for seed in range(2))):
+        words = np.array(square.words(), dtype=np.intp).reshape(-1, k + 2)
+        index = square.projections()
+        for a, b in permutations(range(k + 2), 2):
+            scatter = np.zeros((n, n), dtype=bool)
+            scatter[words[:, a], words[:, b]] = True
+            plane = index.plane(a, b)
+            assert plane.dtype == bool and np.array_equal(plane, scatter)
+        for a, b in [(0, 0), (k + 1, k + 1), (-1, 1), (0, k + 2)]:
+            with pytest.raises(ValueError, match="two distinct coordinates"):
+                index.plane(a, b)
 
 
 def test_a_fill_that_meets_a_clash_in_its_last_slice_records_nothing():

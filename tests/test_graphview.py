@@ -2,7 +2,6 @@ from fractions import Fraction
 from itertools import combinations
 from unittest.mock import patch
 
-import numpy as np
 import pytest
 from hypothesis import assume, given
 
@@ -11,20 +10,13 @@ from mopls import graphview
 from mopls.codes import covering_radius, to_code
 from mopls.verify import lower_bound
 
-from conftest import complement_edges, maximal_squares_with_holes, partial_squares
+from conftest import complement_edges, maximal_squares_with_holes, oracle_complement_edges, partial_squares
 
 
 @given(partial_squares(max_n=5))
 def test_edges_match_definition(square):
     edges, _, _ = complement_edges(complement(square))
-    words = square.words()
-    expected = []
-    for a, b in combinations(range(square.k + 2), 2):
-        used = {(w[a], w[b]) for w in words}
-        expected += [
-            ((a, x), (b, y)) for x in range(square.n) for y in range(square.n) if (x, y) not in used
-        ]
-    assert sorted(edges) == sorted(expected)
+    assert sorted(edges) == oracle_complement_edges(square)
 
 
 @given(partial_squares(max_n=5))
@@ -108,9 +100,10 @@ def test_a_clique_that_is_no_insertion_raises_self_check_error():
     holed = min_mopls(9).remove((0, 0))
     graph = complement(holed)
     word = [v for _, v in graph.find_clique()]
-    # the matrices still see the hole, but the words the witness is checked
-    # against now fill it
-    graph._words = np.vstack([graph._words, word])
+    # the matrices still see the hole, but the index the witness is checked
+    # against now fills it
+    graph._projections = graph._projections.copy()
+    graph._projections.add(word)
     with pytest.raises(SelfCheckError, match="not a legal insertion"):
         graph.find_clique()
 

@@ -49,7 +49,8 @@ def _callers(name):
 def test_each_square_keeps_one_index():
     # a square keeps the Projections index it validated with; only validation
     # builds one and only a copy duplicates it, so no module rebuilds a
-    # square's constraints, and only core sets a square's kept index
+    # square's constraints (the complement graph, the candidate scan and the
+    # verifiers read planes of it), and only core sets a square's kept index
     kept = set()
     for path in SOURCES:
         for node, _ in _nodes(path):
@@ -59,6 +60,15 @@ def test_each_square_keeps_one_index():
                 kept.add(path.name)
     assert _callers("Projections") == {("core.py", "validate"), ("core.py", "copy")}
     assert kept == {"core.py"}
+
+
+def test_only_the_index_reads_its_rows_as_planes():
+    # Projections.plane is the one reader from index rows to a bool plane, so
+    # the bound, the candidate scan and the complement graph take a square's
+    # constraints from its index: only the code view and the conjugate read its words
+    functions = {node.name for path in SOURCES for node, _ in _nodes(path) if isinstance(node, ast.FunctionDef)}
+    assert "plane" in functions and "_grid" not in functions
+    assert _callers("words") == {("codes.py", "to_code"), ("core.py", "conjugate")}
 
 
 def test_only_validation_fills_an_index():

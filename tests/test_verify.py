@@ -502,6 +502,38 @@ def test_structure_failure_reasons_are_pinned(case):
     assert report.layer_perms is report.canonical is None
 
 
+def _move_cell(cells, n):
+    # the first block's corner cell moves to the same row, in the last block's columns
+    cells[(0, n - 1)] = cells.pop((0, 0))
+
+
+def _move_symbol(cells, n):
+    # the first block's corner cell takes a last-layer symbol of the last block
+    cells[(0, 0)] = cells[(0, 0)][:-1] + (n - 1,)
+
+
+@pytest.mark.parametrize("edit", [_move_cell, _move_symbol], ids=["cell", "symbol"])
+@pytest.mark.parametrize(
+    "verifier, square", [(verify_hr_structure, min_mpls(7)), (verify_min_structure, min_mopls(22))], ids=["hr", "min"]
+)
+def test_structure_recheck_catches_a_canonical_form_off_its_blocks(monkeypatch, edit, verifier, square):
+    # a relabeling that puts one cell or one symbol across the blocks fails the
+    # recheck of the canonical square the report prints
+    relabel = KPartialSquare.relabel
+
+    def misplaced(self, *perms):
+        cells = dict(relabel(self, *perms).cells)
+        edit(cells, self.n)
+        return KPartialSquare(self.n, self.k, cells)
+
+    monkeypatch.setattr(KPartialSquare, "relabel", misplaced)
+    report = verifier(square)
+    assert not report.ok
+    assert report.reason == "canonical form fails the diagonal block recheck"
+    assert report.block_orders is report.row_perm is report.col_perm is None
+    assert report.layer_perms is report.canonical is None
+
+
 # -- the index reads against their per-cell oracles ----------------------------------
 
 
