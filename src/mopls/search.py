@@ -123,13 +123,13 @@ def _smaller_exists(i: int, left: list[int], target: Sequence[Word],
     least image gives each unassigned value nxt[p].  ``pairs[j]`` lists the
     (family, slot) pairs of ``target[j]``.  ``nodes``, when given, receives
     every node the scan visits as (depth, label table, nxt, remaining
-    words), lists that nothing mutates afterwards.  A module-level
-    function, as a recursive closure would leave a reference cycle behind
-    every call.
+    words), uncopied: ``_commit`` commits each tying word on fresh lists, so
+    a node owns its lists and nothing writes to them afterwards.  A
+    module-level function, as a recursive closure would leave a reference
+    cycle behind every call.
     """
     if nodes is not None:
-        # list copies, as tuple copies would linger in the tuple freelists
-        nodes.append((i, lab[:], nxt[:], left))
+        nodes.append((i, lab, nxt, left))
     if i == len(target):
         return False  # reached full equality, not strictly smaller
     goal = target[i]
@@ -146,23 +146,14 @@ def _smaller_exists(i: int, left: list[int], target: Sequence[Word],
         else:
             realizers.append(j)
     for j in realizers:
-        fresh = []
-        for p, s in pairs[j]:
-            if lab[s] < 0:
-                lab[s] = nxt[p]
-                nxt[p] += 1
-                fresh.append((p, s))
-        found = _smaller_exists(i + 1, [t for t in left if t != j], target, pairs, lab, nxt, nodes)
-        for p, s in fresh:
-            lab[s] = -1
-            nxt[p] -= 1
-        if found:
+        if _commit((i, lab, nxt, [t for t in left if t != j]), pairs[j], target, pairs, nodes):
             return True
     return False
 
 
 def _commit(node: tuple, wp: tuple, target: Sequence[Word], pairs: tuple, nodes: list | None = None) -> bool:
-    """``_smaller_exists`` once the last word of ``target``, pairs ``wp``, takes ``node``'s position."""
+    """``_smaller_exists`` once the word with pairs ``wp`` takes ``node``'s position: the one
+    code that commits a word, on copies of the node's lists, which the new node owns."""
     i, lab, used, left = node
     lab = lab[:]
     used = used[:]
@@ -492,27 +483,20 @@ def min_maximal(
         if cp_path is not None and level_num == start:  # else its last level wrote it
             _save_checkpoint(cp_path, n, k, level_num, queue, nodes)
 
-    if min_size is not None:
-        completed = min_size  # levels 1..min_size fully enumerated
-        no_below = min_size
-        exact = True
-        if k == 2 and min_size < lower_bound(n):
-            raise SelfCheckError(
-                f"found a maximal square of size {min_size} below the proven "
-                f"bound {lower_bound(n)}; this indicates a search bug"
-            )
-    else:
-        completed = level_num
-        no_below = level_num + 1
-        exact = False
+    exact = min_size is not None
+    if exact and k == 2 and min_size < lower_bound(n):
+        raise SelfCheckError(
+            f"found a maximal square of size {min_size} below the proven "
+            f"bound {lower_bound(n)}; this indicates a search bug"
+        )
     return SearchResult(
         n=n,
         k=k,
         min_size=min_size,
         witness=witness,
         exact=exact,
-        no_maximal_below=no_below,
-        levels_completed=completed,
+        no_maximal_below=level_num if exact else level_num + 1,
+        levels_completed=level_num,  # the run ends on the last level it completed
         nodes=nodes,
         budget=budget,
         exhausted_budget=exhausted_budget,
@@ -567,8 +551,7 @@ def verify_bound_exhaustive(n: int, k: int = 2) -> ExhaustiveReport:
                         KPartialSquare.from_words(n, k, [table[i] for i in words_idx])
                     )
 
-    bound = lower_bound(n) if k == 2 else 1
-    all_ok = all(size >= bound for size in histogram) if k == 2 else True
+    all_ok = all(size >= lower_bound(n) for size in histogram) if k == 2 else True
     tight: bool | None = None
     if k == 2 and n % 3 == 0 and min_size == n * n // 3:
         tight = all(

@@ -187,7 +187,7 @@ def test_randomized_property_sweep():
         square = maximalize(KPartialSquare.empty(n, 2), policy="random", seed=seed)
         fill = square.filled_count
         graph = complement(square)
-        _, pair_edges, neighbours = complement_edges(graph)
+        edges, pair_edges, neighbours = complement_edges(graph)
         degree = {
             (group, v): sum(neighbours[(group, v), other] for other in range(4) if other != group)
             for group in range(4)
@@ -198,6 +198,7 @@ def test_randomized_property_sweep():
         bound_report = verify_bound(square)
         checks = [
             fill >= lower_bound(n),
+            sorted(edges) == oracle_complement_edges(square),  # the clique check's input, from the words, not the index
             bound_report.ok,
             all(
                 Fraction(pair_edges[pair], n * n) == Fraction(n * n - fill, n * n)

@@ -1,9 +1,11 @@
 """Tests for canonical forms and the exhaustive minimum-size search."""
 
+import copy
 import hashlib
 import json
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -210,6 +212,35 @@ def test_growth_fails_exactly_where_the_parent_tree_rejects_the_word(n, k, level
     assert outcomes == {False, True}
 
 
+def _recorded_nodes(tree):
+    _, path, rest, _, _, leaf, _ = tree
+    return path, leaf, rest
+
+
+@pytest.mark.parametrize("n, levels, entries", [(3, None, None), (4, 4, 50)])
+def test_deciding_and_growing_children_never_writes_to_a_parent_tree(n, levels, entries):
+    """A committed node owns its lists, so nothing writes to a recorded scan
+    node later: deciding every word above each parent's last and growing
+    each accepted child's tree, which shares the parent's nodes' lists,
+    leaves the parent trees' nodes as they were."""
+    table, parents = _canonical_parents(n, 2, levels)
+    if entries is not None:
+        parents = [ix for ix in parents if len(ix) == levels][:entries]
+        assert len(parents) == entries
+    index = search._word_index(table, n)
+    trees = [(ix, search._tie_tree([table[i] for i in ix], index)) for ix in parents]
+    before = [copy.deepcopy(_recorded_nodes(tree)) for _, tree in trees]
+    grown = 0
+    for ix, tree in trees:
+        words = [table[i] for i in ix]
+        for w in range(ix[-1] + 1 if ix else 0, len(table)):
+            if is_canonical(words + [table[w]], tree):
+                assert search._tie_tree(words + [table[w]], index, tree) is not None, ix + (w,)
+                grown += 1
+    assert grown > len(trees)
+    assert [_recorded_nodes(tree) for _, tree in trees] == before
+
+
 def _oracle_children(table, compat, queue, n, k):
     """The compatible children above each parent's last word that the
     brute-force oracle keeps, as the next level's queue in enumeration order."""
@@ -413,6 +444,36 @@ def test_generous_budget_matches_unbudgeted_run():
         free.nodes,
         free.levels_completed,
     )
+
+
+# the canonical squares the uninterrupted order-3 search accepts, its nodes
+ACCEPTED_AT_ORDER_THREE = {1: 57, 2: 25}
+
+
+@cache
+def _uninterrupted(k):
+    """The order-3 search, which a budget of every square it accepts does not stop."""
+    total = ACCEPTED_AT_ORDER_THREE[k]
+    assert min_maximal(3, k, budget=total).exhausted_budget is False
+    return min_maximal(3, k)
+
+
+@pytest.mark.parametrize("k, budget", [(k, b) for k, total in ACCEPTED_AT_ORDER_THREE.items() for b in range(total)])
+def test_every_budget_stop_resumes_to_the_uninterrupted_result(tmp_path, k, budget):
+    """Every budget below the squares the order-3 search accepts stops it,
+    inside a level or at a level boundary, and the resume finishes it."""
+    whole = _uninterrupted(k)
+    assert whole.nodes == ACCEPTED_AT_ORDER_THREE[k] and whole.exact
+    cp = tmp_path / "cp.json"
+    stopped = min_maximal(3, k, budget=budget, checkpoint=cp)
+    assert stopped.exhausted_budget is True and stopped.exact is False
+    assert stopped.min_size is None and stopped.witness is None
+    assert stopped.no_maximal_below == stopped.levels_completed + 1
+    resumed = min_maximal(3, k, checkpoint=cp, resume=True)
+    assert resumed.exhausted_budget is False and resumed.exact is True
+    assert resumed.witness.words() == whole.witness.words()
+    assert ((resumed.min_size, resumed.nodes, resumed.levels_completed, resumed.no_maximal_below)
+            == (whole.min_size, whole.nodes, whole.levels_completed, whole.no_maximal_below))
 
 
 def test_checkpoint_resume_completes_an_interrupted_run(tmp_path):

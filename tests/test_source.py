@@ -89,6 +89,22 @@ def test_one_walk_decides_a_child_and_grows_its_tree():
     assert compared == ["_smaller_exists", "_smaller_with"]
 
 
+def test_only_commit_writes_labels():
+    # _commit is the one code that commits a word: it writes into copies of a
+    # node's label table and used-label counts, so no scan assigns and undoes
+    # in place, and a recorded scan node owns lists that nothing writes to
+    written = sorted(
+        function
+        for node, function in _nodes(ROOT / "src" / "mopls" / "search.py")
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in getattr(node, "targets", None) or [node.target]
+        for part in ast.walk(target)
+        if isinstance(part, ast.Subscript) and ast.unparse(part.value) in ("lab", "used", "nxt")
+    )
+    assert written == ["_commit", "_commit"]
+    assert _callers("_smaller_exists") == {("search.py", "_commit")}
+
+
 def test_ci_runs_the_tier_1_command():
     # the workflow's test step is ROADMAP's Tier-1 line, word for word
     tier1 = (ROOT / "ROADMAP.md").read_text().split("**Tier-1 verify:** `", 1)[1].split("`", 1)[0]
