@@ -42,20 +42,32 @@ lex-least one at that cell, rank 0 of ``_tuple_of_rank``.  It is still a
 per-cell candidate test, independent of the clique search in
 :mod:`mopls.graphview` and the covering radius in :mod:`mopls.codes`.
 
-:func:`maximalize` inserts greedily into a copy of the square's index,
-and both policies take a cell's tuple by its lex rank: ``_tuple_of_rank``
-walks down the layers, skipping the subtree of every lower symbol, whose
-size it counts from the k allowed-symbol masks with ``int.bit_count``
-(the last layer is one popcount per prefix, the last two layers a single
-loop).  The lex policy takes rank 0.  The random policy counts the
-cell's legal tuples and draws ``rng.randrange(count)``, the same
+:func:`maximalize` inserts greedily, and both policies take a cell's tuple
+by its lex rank.  The lex policy takes rank 0.  The random policy counts
+the cell's legal tuples and draws ``rng.randrange(count)``, the same
 ``_randbelow(count)`` draw as ``choice`` on a list of ``count`` tuples.
+The n ** k entry tuples are numbered in lex order, tuple e at position
+sum of e_j * n ** (k - 1 - j), and ``_TupleSets`` keeps one int bitset
+per row and one per column of the tuples that line's used symbols still
+allow, and one of the tuples whose layer pairs are all unused.  A cell's
+legal tuples are the AND of three of them: the count is ``bit_count``,
+rank 0 is the lowest set bit, and ``_nth_bit`` finds any other rank by
+halving the bitset, keeping the half that holds it, so a pick is linear
+in n ** k.  An insertion clears k shifted single-layer slabs from its
+row and column sets and C(k, 2) shifted layer-pair slabs from the pair
+set.  These bitsets take (2n + 3 + k + C(k, 2)) * n ** k bits; above
+``_TUPLE_SPACE_BITS`` the completion instead keeps a copy of the square's
+index and walks the layers with ``_tuple_of_rank``, skipping the subtree
+of every lower symbol, whose size it counts from the k allowed-symbol
+masks with ``int.bit_count``.  Both give the same square, which is
+validated before it is returned.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -65,6 +77,11 @@ from .core import Cell, EntryTuple, KPartialSquare, SelfCheckError, lower_bound
 #: layer i a slice holds ``_FRONTIER_WORDS // (n * ceil(n / 64) * (k - 1 - i))``
 #: rows (at least one), so each array it makes stays near 2 MB.
 _FRONTIER_WORDS = 1 << 18
+
+#: The most bits that ``maximalize``'s tuple-space bitsets may hold (8 MiB);
+#: a larger completion walks the layers instead.  Without a cap, one hole in
+#: ``k_ols(10, 11)`` would need 11 ** 10 bits, about 3.2 GB, per bitset.
+_TUPLE_SPACE_BITS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -211,6 +228,128 @@ def is_maximal(square: KPartialSquare) -> bool:
     return find_extension(square) is None
 
 
+def _tuple_space_fits(n: int, k: int) -> bool:
+    """Whether an order-n, k-layer completion's bitsets stay within
+    ``_TUPLE_SPACE_BITS``: 2n + 1 legal sets, k + C(k, 2) slabs and the
+    halving masks (under two more), each of n ** k bits."""
+    return (2 * n + 3 + k * (k + 1) // 2) * n ** k <= _TUPLE_SPACE_BITS
+
+
+def _slab(n: int, k: int, zero: tuple[int, ...]) -> int:
+    """The tuples whose entries at the layers ``zero`` are 0, as a bitset over
+    lex positions: built from the last layer up, a free layer repeats the
+    pattern of the layers below it n times."""
+    bits, width = 1, 1
+    for j in reversed(range(k)):
+        if j not in zero:
+            bits = int(f"{bits:0{width}b}" * n, 2)
+        width *= n
+    return bits
+
+
+class _TupleSets:
+    """Bitsets over the n ** k entry tuples, bit p for the tuple of lex
+    position p = sum of e_j * n ** (k - 1 - j): ``rows[r]`` and ``cols[c]``
+    hold the tuples that the symbols used in that row or column still allow,
+    and ``pairs`` those none of whose layer pairs is used, so a cell's legal
+    tuples are ``rows[r] & cols[c] & pairs``."""
+
+    def __init__(self, square: KPartialSquare):
+        n, k = square.n, square.k
+        self.weights = [n ** (k - 1 - j) for j in range(k)]
+        self.full = (1 << n ** k) - 1
+        self.rows, self.cols, self.pairs = [self.full] * n, [self.full] * n, self.full
+        # shifted by sum e_j * weights[j], these are the tuples that share a
+        # symbol, or a layer pair, with the tuple e
+        self.layer_slabs = [_slab(n, k, (j,)) for j in range(k)]
+        self.pair_slabs = [(i, j, _slab(n, k, (i, j))) for i, j in combinations(range(k), 2)]
+        # (width, mask of the low width bits), halving from a window that holds every position
+        top = (n ** k - 1).bit_length()
+        self.halves = [(1 << h, (1 << (1 << h)) - 1) for h in range(top - 1, -1, -1)]
+        for cell, entries in square.cells.items():
+            self.add(cell, entries)
+
+    def add(self, cell: Cell, entries: EntryTuple) -> None:
+        """Rule out the tuples that ``entries`` at ``cell`` forbids: in its row
+        and column those sharing a symbol, everywhere those sharing a layer pair."""
+        offsets = [e * w for e, w in zip(entries, self.weights)]
+        hit = 0
+        for slab, offset in zip(self.layer_slabs, offsets):
+            hit |= slab << offset
+        keep = self.full ^ hit  # x & ~hit costs several times as much on long ints
+        r, c = cell
+        self.rows[r] &= keep
+        self.cols[c] &= keep
+        hit = 0
+        for i, j, slab in self.pair_slabs:
+            hit |= slab << offsets[i] + offsets[j]
+        self.pairs &= self.full ^ hit
+
+    def entries(self, position: int) -> EntryTuple:
+        """The tuple at lex position ``position``."""
+        out = []
+        for weight in self.weights:
+            e, position = divmod(position, weight)
+            out.append(e)
+        return tuple(out)
+
+
+def _nth_bit(bits: int, rank: int, halves: list[tuple[int, int]]) -> int:
+    """Position of the set bit of ``bits`` with ``rank`` set bits below it;
+    ``bits`` must have more than ``rank``.  Each halving keeps whichever half
+    of the window holds that bit, so the work is linear in the window."""
+    position = 0
+    for width, low in halves:
+        if not rank:
+            break
+        below = bits & low
+        count = below.bit_count()
+        if rank < count:
+            bits = below
+        else:
+            bits >>= width
+            position += width
+            rank -= count
+    return position + (bits & -bits).bit_length() - 1
+
+
+def _complete_by_bitsets(square: KPartialSquare, order: list[Cell], rng: random.Random | None,
+                         cells: dict[Cell, EntryTuple]) -> None:
+    """``maximalize``'s greedy pass over ``order``, reading each cell's
+    candidates off ``_TupleSets`` and writing each pick into ``cells``."""
+    sets = _TupleSets(square)
+    rows, cols = sets.rows, sets.cols
+    for cell in order:
+        legal = rows[cell[0]] & cols[cell[1]] & sets.pairs
+        if not legal:
+            continue
+        # the same _randbelow(count) draw as choice() on the listed candidates
+        rank = 0 if rng is None else rng.randrange(legal.bit_count())
+        choice = sets.entries(_nth_bit(legal, rank, sets.halves))
+        cells[cell] = choice
+        sets.add(cell, choice)
+
+
+def _complete_by_walk(square: KPartialSquare, order: list[Cell], rng: random.Random | None,
+                      cells: dict[Cell, EntryTuple]) -> None:
+    """The same pass through a copy of the square's index, walking each
+    cell's layers with ``_count`` and ``_tuple_of_rank``."""
+    n, k = square.n, square.k
+    index = square.projections().copy()
+    table = index.table
+    for cell in order:
+        masks = _allowed(table, n, k, cell)
+        if rng is None:
+            choice = _tuple_of_rank(table, masks, 0)
+        else:
+            count = _count(table, masks, 0) if all(masks) else 0
+            choice = _tuple_of_rank(table, masks, rng.randrange(count)) if count else None
+        if choice is None:
+            continue
+        cells[cell] = choice
+        index.add(cell + choice)
+
+
 def maximalize(
     square: KPartialSquare, policy: str = "lex", seed: int | None = None
 ) -> KPartialSquare:
@@ -219,41 +358,41 @@ def maximalize(
     ``policy="lex"`` visits empty cells in row-major order and inserts the
     lexicographically least candidate tuple; ``policy="random"`` shuffles
     the cell order and picks candidates uniformly, driven by ``seed``, by
-    drawing a rank below the cell's candidate count (see the module
-    docstring).
+    drawing ``rng.randrange(count)`` below the cell's candidate count and
+    inserting the tuple of that lex rank.  Both policies read a cell's
+    candidates off tuple-space bitsets, or walk its layers when those would
+    exceed ``_TUPLE_SPACE_BITS`` (see the module docstring); the two give
+    the same square.
 
     A single pass suffices: insertions only shrink the candidate sets of
     other cells, so a cell seen with no candidates stays uninsertable for
     the rest of the pass.  Already-maximal squares come back unchanged.
+    The result is validated, and keeps the index it validated with: an
+    invalid completion, or one below the fill bound at k = 2, raises
+    :class:`SelfCheckError`.
     """
     if policy not in ("lex", "random"):
         raise ValueError(f"unknown policy {policy!r}")
     rng = random.Random(seed) if policy == "random" else None
-    index = square.projections().copy()
+    square.projections()  # validates an unchecked input
     order = list(square.empty_cells())
     if rng is not None:
         rng.shuffle(order)
     cells = dict(square.cells)
-    n, k, table = square.n, square.k, index.table
-    for cell in order:
-        masks = _allowed(table, n, k, cell)
-        if rng is None:
-            choice = _tuple_of_rank(table, masks, 0)
-        else:
-            count = _count(table, masks, 0) if all(masks) else 0
-            # the same _randbelow(count) draw as choice() on the listed candidates
-            choice = _tuple_of_rank(table, masks, rng.randrange(count)) if count else None
-        if choice is None:
-            continue
-        cells[cell] = choice
-        index.add(cell + choice)
-    result = KPartialSquare(square.n, square.k, cells)
+    n, k = square.n, square.k
+    # the bitsets are freed before the result is validated
+    complete = _complete_by_bitsets if _tuple_space_fits(n, k) else _complete_by_walk
+    complete(square, order, rng, cells)
+    result = KPartialSquare(n, k, cells)
+    # a failure here means a bug, not bad input
+    report = result.validate()
+    if not report.ok:
+        raise SelfCheckError(f"completion wrote an invalid square: {report.violations[0].message}")
     # any maximal pair of orthogonal partial Latin squares fills at least
-    # a third of the grid; a failure here means a bug, not bad input
-    if square.k == 2 and result.filled_count < lower_bound(square.n):
+    # a third of the grid
+    if k == 2 and result.filled_count < lower_bound(n):
         raise SelfCheckError(
             f"completion filled {result.filled_count} cells, below the bound "
-            f"{lower_bound(square.n)} for a maximal pair of order {square.n}"
+            f"{lower_bound(n)} for a maximal pair of order {n}"
         )
     return result
-

@@ -203,7 +203,7 @@ def test_maximalize_random_is_seed_reproducible(n, seed):
     assert is_maximal(a)
 
 
-@given(
+_COMPLETIONS = (
     st.one_of(
         st.builds(KPartialSquare.empty, st.integers(1, 9), st.integers(1, 4)),
         partial_squares(max_n=7, ks=(1, 2, 3, 4)),
@@ -212,28 +212,90 @@ def test_maximalize_random_is_seed_reproducible(n, seed):
     st.sampled_from(["lex", "random"]),
     st.integers(0, 2**32 - 1),
 )
+
+
+@given(*_COMPLETIONS)
 def test_maximalize_matches_the_listing_reference(square, policy, seed):
+    assert maximality._tuple_space_fits(square.n, square.k)
     assert maximalize(square, policy, seed).cells == oracle_maximalize(square, policy, seed).cells
+
+
+@given(*_COMPLETIONS)
+def test_maximalize_walk_matches_the_listing_reference(square, policy, seed):
+    # with no room for the tuple-space bitsets every completion walks the layers
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maximality, "_TUPLE_SPACE_BITS", 0)
+        assert maximalize(square, policy, seed).cells == oracle_maximalize(square, policy, seed).cells
+
+
+@pytest.mark.parametrize("n, k, fits", [(20, 2, True), (11, 3, True), (300, 2, True),
+                                        (11, 10, False), (3, 32, False)])
+def test_the_tuple_space_cap_sends_large_completions_to_the_walk(n, k, fits):
+    # the predicate alone: maximalize on the large cases would allocate
+    # gigabytes if the branch were wrong
+    assert maximality._tuple_space_fits(n, k) is fits
 
 
 @given(st.one_of(partial_squares(max_n=6, ks=(1, 2, 3, 4)), maximal_squares_with_holes(max_n=6)))
 def test_every_rank_names_the_candidate_of_that_rank(square):
     table = square.projections().table
+    sets = maximality._TupleSets(square)
     for cell in square.empty_cells():
         listed = oracle_candidates(square, cell)
         masks = maximality._allowed(table, square.n, square.k, cell)
         count = maximality._count(table, masks, 0)
         assert count == len(listed)
         assert [maximality._tuple_of_rank(table, masks, rank) for rank in range(count + 1)] == listed + [None]
+        # the same candidates, read off the tuple-space bitsets
+        legal = sets.rows[cell[0]] & sets.cols[cell[1]] & sets.pairs
+        assert legal.bit_count() == count
+        assert [sets.entries(maximality._nth_bit(legal, rank, sets.halves)) for rank in range(count)] == listed
 
 
 def test_maximalize_checks_its_fill_explicitly(monkeypatch):
+    # each insertion also rules out every other tuple, so one cell is filled
+    add = maximality._TupleSets.add
+
+    def add_and_wipe(self, cell, entries):
+        add(self, cell, entries)
+        self.pairs = 0
+
+    monkeypatch.setattr(maximality._TupleSets, "add", add_and_wipe)
+    for policy in ("lex", "random"):
+        with pytest.raises(SelfCheckError, match="filled 1 cells, below the bound 3"):
+            maximalize(KPartialSquare.empty(3, 2), policy, seed=1)
+
+
+def test_maximalize_checks_the_walks_fill_explicitly(monkeypatch):
     # lex takes each cell's first candidate, random counts them
+    monkeypatch.setattr(maximality, "_TUPLE_SPACE_BITS", 0)
     monkeypatch.setattr(maximality, "_tuple_of_rank", lambda *args: None)
     monkeypatch.setattr(maximality, "_count", lambda *args: 0)
     for policy in ("lex", "random"):
-        with pytest.raises(SelfCheckError, match="below the bound"):
+        with pytest.raises(SelfCheckError, match="filled 0 cells, below the bound 3"):
             maximalize(KPartialSquare.empty(3, 2), policy, seed=1)
+
+
+@pytest.mark.parametrize("bits", [maximality._TUPLE_SPACE_BITS, 0], ids=["bitsets", "walk"])
+@pytest.mark.parametrize("policy", ["lex", "random"])
+def test_maximalize_validates_its_completion(monkeypatch, bits, policy):
+    # every pick, on either path, names the tuple (0, 0), which clashes in
+    # the first row or column that takes it twice
+    monkeypatch.setattr(maximality, "_TUPLE_SPACE_BITS", bits)
+    monkeypatch.setattr(maximality, "_nth_bit", lambda *args: 0)
+    monkeypatch.setattr(maximality, "_tuple_of_rank", lambda *args: (0, 0))
+    with pytest.raises(SelfCheckError, match="completion wrote an invalid square: .* repeats symbol 0"):
+        maximalize(KPartialSquare.empty(3, 2), policy, seed=1)
+
+
+def test_a_completed_square_keeps_the_index_it_validated_with(monkeypatch):
+    square = maximalize(KPartialSquare.empty(5, 3), "random", seed=3)
+
+    def unexpected(self):
+        raise AssertionError("validated twice")
+
+    monkeypatch.setattr(core.KPartialSquare, "validate", unexpected)
+    assert square.projections().table[0][1][0] == sum(1 << c for (r, c) in square.cells if r == 0)
 
 
 def test_find_extension_checks_its_witness_tuple(monkeypatch):
