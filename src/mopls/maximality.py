@@ -59,8 +59,10 @@ set.  These bitsets take (2n + 3 + k + C(k, 2)) * n ** k bits; above
 ``_TUPLE_SPACE_BITS`` the completion instead keeps a copy of the square's
 index and walks the layers with ``_tuple_of_rank``, skipping the subtree
 of every lower symbol, whose size it counts from the k allowed-symbol
-masks with ``int.bit_count``.  Both give the same square, which is
-validated before it is returned.
+masks with ``int.bit_count``.  The lex policy also walks above
+``_LEX_TUPLES`` tuples: its rank-0 walk stops at the first nonempty
+subtree, while a bitset pick is linear in n ** k.  Both paths give the
+same square, which is validated before it is returned.
 """
 
 from __future__ import annotations
@@ -82,6 +84,12 @@ _FRONTIER_WORDS = 1 << 18
 #: a larger completion walks the layers instead.  Without a cap, one hole in
 #: ``k_ols(10, 11)`` would need 11 ** 10 bits, about 3.2 GB, per bitset.
 _TUPLE_SPACE_BITS = 1 << 26
+
+#: The most tuples, n ** k, for which the lex policy reads the bitsets.  Its
+#: rank-0 walk stops at the first symbol with a nonempty subtree, while each
+#: bitset pick and insertion rewrites whole n ** k-bit sets, so above about
+#: this many tuples the walk was as fast (n = 190 at k = 2, 15 at k = 4).
+_LEX_TUPLES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -361,8 +369,8 @@ def maximalize(
     drawing ``rng.randrange(count)`` below the cell's candidate count and
     inserting the tuple of that lex rank.  Both policies read a cell's
     candidates off tuple-space bitsets, or walk its layers when those would
-    exceed ``_TUPLE_SPACE_BITS`` (see the module docstring); the two give
-    the same square.
+    exceed ``_TUPLE_SPACE_BITS``, and lex also above ``_LEX_TUPLES`` tuples
+    (see the module docstring); the two give the same square.
 
     A single pass suffices: insertions only shrink the candidate sets of
     other cells, so a cell seen with no candidates stays uninsertable for
@@ -381,7 +389,8 @@ def maximalize(
     cells = dict(square.cells)
     n, k = square.n, square.k
     # the bitsets are freed before the result is validated
-    complete = _complete_by_bitsets if _tuple_space_fits(n, k) else _complete_by_walk
+    bitsets = _tuple_space_fits(n, k) and (rng is not None or n ** k <= _LEX_TUPLES)
+    complete = _complete_by_bitsets if bitsets else _complete_by_walk
     complete(square, order, rng, cells)
     result = KPartialSquare(n, k, cells)
     # a failure here means a bug, not bad input

@@ -216,7 +216,8 @@ _COMPLETIONS = (
 
 @given(*_COMPLETIONS)
 def test_maximalize_matches_the_listing_reference(square, policy, seed):
-    assert maximality._tuple_space_fits(square.n, square.k)
+    # both policies read the bitsets at every size drawn here
+    assert maximality._tuple_space_fits(square.n, square.k) and square.n ** square.k <= maximality._LEX_TUPLES
     assert maximalize(square, policy, seed).cells == oracle_maximalize(square, policy, seed).cells
 
 
@@ -234,6 +235,23 @@ def test_the_tuple_space_cap_sends_large_completions_to_the_walk(n, k, fits):
     # the predicate alone: maximalize on the large cases would allocate
     # gigabytes if the branch were wrong
     assert maximality._tuple_space_fits(n, k) is fits
+
+
+@pytest.mark.parametrize("policy, lex_tuples, path", [
+    ("lex", 24, "_complete_by_walk"), ("lex", 25, "_complete_by_bitsets"), ("random", 0, "_complete_by_bitsets"),
+])
+def test_the_lex_policy_walks_above_its_tuple_limit(monkeypatch, policy, lex_tuples, path):
+    # an order-5 pair has 25 tuples; the random policy ignores the limit
+    monkeypatch.setattr(maximality, "_LEX_TUPLES", lex_tuples)
+    ran = []
+    for name in ("_complete_by_walk", "_complete_by_bitsets"):
+        def spy(*args, name=name, complete=getattr(maximality, name)):
+            ran.append(name)
+            complete(*args)
+        monkeypatch.setattr(maximality, name, spy)
+    square = KPartialSquare.empty(5, 2)
+    assert maximalize(square, policy, seed=1).cells == oracle_maximalize(square, policy, 1).cells
+    assert ran == [path]
 
 
 @given(st.one_of(partial_squares(max_n=6, ks=(1, 2, 3, 4)), maximal_squares_with_holes(max_n=6)))
