@@ -46,23 +46,21 @@ per-cell candidate test, independent of the clique search in
 by its lex rank.  The lex policy takes rank 0.  The random policy counts
 the cell's legal tuples and draws ``rng.randrange(count)``, the same
 ``_randbelow(count)`` draw as ``choice`` on a list of ``count`` tuples.
-The n ** k entry tuples are numbered in lex order, tuple e at position
-sum of e_j * n ** (k - 1 - j), and ``_TupleSets`` keeps one int bitset
-per row and one per column of the tuples that line's used symbols still
-allow, and one of the tuples whose layer pairs are all unused.  A cell's
-legal tuples are the AND of three of them: the count is ``bit_count``,
-rank 0 is the lowest set bit, and ``_nth_bit`` finds any other rank by
-halving the bitset, keeping the half that holds it, so a pick is linear
-in n ** k.  An insertion clears k shifted single-layer slabs from its
-row and column sets and C(k, 2) shifted layer-pair slabs from the pair
-set.  These bitsets take (2n + 3 + k + C(k, 2)) * n ** k bits; above
-``_TUPLE_SPACE_BITS`` the completion instead keeps a copy of the square's
-index and walks the layers with ``_tuple_of_rank``, skipping the subtree
-of every lower symbol, whose size it counts from the k allowed-symbol
-masks with ``int.bit_count``.  The lex policy also walks above
-``_LEX_TUPLES`` tuples: its rank-0 walk stops at the first nonempty
-subtree, while a bitset pick is linear in n ** k.  Both paths give the
-same square, which is validated before it is returned.
+For the random policy the n ** k entry tuples are numbered in lex order,
+tuple e at position sum of e_j * n ** (k - 1 - j), and ``_TupleSets``
+keeps one int bitset per row and one per column of the tuples that
+line's used symbols still allow, and one of the tuples whose layer pairs
+are all unused.  A cell's legal tuples are the AND of three of them: the
+count is ``bit_count``, and ``_nth_bit`` finds the drawn rank by halving
+the bitset, keeping the half that holds it, so a pick is linear in
+n ** k.  An insertion clears k shifted single-layer slabs from its row
+and column sets and C(k, 2) shifted layer-pair slabs from the pair set.
+These bitsets take (2n + 3 + k + C(k, 2)) * n ** k bits.  The lex policy,
+and the random policy above ``_TUPLE_SPACE_BITS``, instead keep a copy of
+the square's index and walk the layers with ``_tuple_of_rank``, skipping
+the subtree of every lower symbol, whose size it counts from the k
+allowed-symbol masks with ``int.bit_count``.  Both paths give the same
+square, which is validated before it is returned.
 """
 
 from __future__ import annotations
@@ -84,12 +82,6 @@ _FRONTIER_WORDS = 1 << 18
 #: a larger completion walks the layers instead.  Without a cap, one hole in
 #: ``k_ols(10, 11)`` would need 11 ** 10 bits, about 3.2 GB, per bitset.
 _TUPLE_SPACE_BITS = 1 << 26
-
-#: The most tuples, n ** k, for which the lex policy reads the bitsets.  Its
-#: rank-0 walk stops at the first symbol with a nonempty subtree, while each
-#: bitset pick and insertion rewrites whole n ** k-bit sets, so above about
-#: this many tuples the walk was as fast (n = 190 at k = 2, 15 at k = 4).
-_LEX_TUPLES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -321,10 +313,11 @@ def _nth_bit(bits: int, rank: int, halves: list[tuple[int, int]]) -> int:
     return position + (bits & -bits).bit_length() - 1
 
 
-def _complete_by_bitsets(square: KPartialSquare, order: list[Cell], rng: random.Random | None,
-                         cells: dict[Cell, EntryTuple]) -> None:
-    """``maximalize``'s greedy pass over ``order``, reading each cell's
-    candidates off ``_TupleSets`` and writing each pick into ``cells``."""
+def _complete_by_bitsets(square: KPartialSquare, order: list[Cell],
+                         rng: random.Random) -> dict[Cell, EntryTuple]:
+    """``maximalize``'s random greedy pass over ``order``, reading each
+    cell's candidates off ``_TupleSets``; returns the filled cells."""
+    cells = dict(square.cells)
     sets = _TupleSets(square)
     rows, cols = sets.rows, sets.cols
     for cell in order:
@@ -332,17 +325,19 @@ def _complete_by_bitsets(square: KPartialSquare, order: list[Cell], rng: random.
         if not legal:
             continue
         # the same _randbelow(count) draw as choice() on the listed candidates
-        rank = 0 if rng is None else rng.randrange(legal.bit_count())
+        rank = rng.randrange(legal.bit_count())
         choice = sets.entries(_nth_bit(legal, rank, sets.halves))
         cells[cell] = choice
         sets.add(cell, choice)
+    return cells
 
 
-def _complete_by_walk(square: KPartialSquare, order: list[Cell], rng: random.Random | None,
-                      cells: dict[Cell, EntryTuple]) -> None:
-    """The same pass through a copy of the square's index, walking each
-    cell's layers with ``_count`` and ``_tuple_of_rank``."""
+def _complete_by_walk(square: KPartialSquare, order: list[Cell],
+                      rng: random.Random | None) -> dict[Cell, EntryTuple]:
+    """The same pass for either policy through a copy of the square's index,
+    walking each cell's layers with ``_count`` and ``_tuple_of_rank``."""
     n, k = square.n, square.k
+    cells = dict(square.cells)
     index = square.projections().copy()
     table = index.table
     for cell in order:
@@ -356,6 +351,7 @@ def _complete_by_walk(square: KPartialSquare, order: list[Cell], rng: random.Ran
             continue
         cells[cell] = choice
         index.add(cell + choice)
+    return cells
 
 
 def maximalize(
@@ -367,10 +363,10 @@ def maximalize(
     lexicographically least candidate tuple; ``policy="random"`` shuffles
     the cell order and picks candidates uniformly, driven by ``seed``, by
     drawing ``rng.randrange(count)`` below the cell's candidate count and
-    inserting the tuple of that lex rank.  Both policies read a cell's
-    candidates off tuple-space bitsets, or walk its layers when those would
-    exceed ``_TUPLE_SPACE_BITS``, and lex also above ``_LEX_TUPLES`` tuples
-    (see the module docstring); the two give the same square.
+    inserting the tuple of that lex rank.  The random policy reads a cell's
+    candidates off tuple-space bitsets, or walks its layers as lex does when
+    those would exceed ``_TUPLE_SPACE_BITS`` (see the module docstring); the
+    two give the same square.
 
     A single pass suffices: insertions only shrink the candidate sets of
     other cells, so a cell seen with no candidates stays uninsertable for
@@ -386,13 +382,11 @@ def maximalize(
     order = list(square.empty_cells())
     if rng is not None:
         rng.shuffle(order)
-    cells = dict(square.cells)
     n, k = square.n, square.k
-    # the bitsets are freed before the result is validated
-    bitsets = _tuple_space_fits(n, k) and (rng is not None or n ** k <= _LEX_TUPLES)
+    bitsets = rng is not None and _tuple_space_fits(n, k)
     complete = _complete_by_bitsets if bitsets else _complete_by_walk
-    complete(square, order, rng, cells)
-    result = KPartialSquare(n, k, cells)
+    # the bitsets are freed before the result is validated
+    result = KPartialSquare(n, k, complete(square, order, rng))
     # a failure here means a bug, not bad input
     report = result.validate()
     if not report.ok:

@@ -216,8 +216,8 @@ _COMPLETIONS = (
 
 @given(*_COMPLETIONS)
 def test_maximalize_matches_the_listing_reference(square, policy, seed):
-    # both policies read the bitsets at every size drawn here
-    assert maximality._tuple_space_fits(square.n, square.k) and square.n ** square.k <= maximality._LEX_TUPLES
+    # the random policy reads the bitsets at every size drawn here
+    assert maximality._tuple_space_fits(square.n, square.k)
     assert maximalize(square, policy, seed).cells == oracle_maximalize(square, policy, seed).cells
 
 
@@ -237,23 +237,6 @@ def test_the_tuple_space_cap_sends_large_completions_to_the_walk(n, k, fits):
     assert maximality._tuple_space_fits(n, k) is fits
 
 
-@pytest.mark.parametrize("policy, lex_tuples, path", [
-    ("lex", 24, "_complete_by_walk"), ("lex", 25, "_complete_by_bitsets"), ("random", 0, "_complete_by_bitsets"),
-])
-def test_the_lex_policy_walks_above_its_tuple_limit(monkeypatch, policy, lex_tuples, path):
-    # an order-5 pair has 25 tuples; the random policy ignores the limit
-    monkeypatch.setattr(maximality, "_LEX_TUPLES", lex_tuples)
-    ran = []
-    for name in ("_complete_by_walk", "_complete_by_bitsets"):
-        def spy(*args, name=name, complete=getattr(maximality, name)):
-            ran.append(name)
-            complete(*args)
-        monkeypatch.setattr(maximality, name, spy)
-    square = KPartialSquare.empty(5, 2)
-    assert maximalize(square, policy, seed=1).cells == oracle_maximalize(square, policy, 1).cells
-    assert ran == [path]
-
-
 @given(st.one_of(partial_squares(max_n=6, ks=(1, 2, 3, 4)), maximal_squares_with_holes(max_n=6)))
 def test_every_rank_names_the_candidate_of_that_rank(square):
     table = square.projections().table
@@ -271,7 +254,8 @@ def test_every_rank_names_the_candidate_of_that_rank(square):
 
 
 def test_maximalize_checks_its_fill_explicitly(monkeypatch):
-    # each insertion also rules out every other tuple, so one cell is filled
+    # each insertion on the bitsets also rules out every other tuple, so
+    # the random policy fills one cell
     add = maximality._TupleSets.add
 
     def add_and_wipe(self, cell, entries):
@@ -279,9 +263,8 @@ def test_maximalize_checks_its_fill_explicitly(monkeypatch):
         self.pairs = 0
 
     monkeypatch.setattr(maximality._TupleSets, "add", add_and_wipe)
-    for policy in ("lex", "random"):
-        with pytest.raises(SelfCheckError, match="filled 1 cells, below the bound 3"):
-            maximalize(KPartialSquare.empty(3, 2), policy, seed=1)
+    with pytest.raises(SelfCheckError, match="filled 1 cells, below the bound 3"):
+        maximalize(KPartialSquare.empty(3, 2), "random", seed=1)
 
 
 def test_maximalize_checks_the_walks_fill_explicitly(monkeypatch):
@@ -294,11 +277,11 @@ def test_maximalize_checks_the_walks_fill_explicitly(monkeypatch):
             maximalize(KPartialSquare.empty(3, 2), policy, seed=1)
 
 
-@pytest.mark.parametrize("bits", [maximality._TUPLE_SPACE_BITS, 0], ids=["bitsets", "walk"])
-@pytest.mark.parametrize("policy", ["lex", "random"])
+@pytest.mark.parametrize("bits, policy", [(maximality._TUPLE_SPACE_BITS, "random"), (0, "random"), (0, "lex")],
+                         ids=["bitsets", "walk-random", "walk-lex"])
 def test_maximalize_validates_its_completion(monkeypatch, bits, policy):
     # every pick, on either path, names the tuple (0, 0), which clashes in
-    # the first row or column that takes it twice
+    # the first row or column that takes it twice; lex always walks
     monkeypatch.setattr(maximality, "_TUPLE_SPACE_BITS", bits)
     monkeypatch.setattr(maximality, "_nth_bit", lambda *args: 0)
     monkeypatch.setattr(maximality, "_tuple_of_rank", lambda *args: (0, 0))
