@@ -15,7 +15,9 @@ a relabeling shrinking the remainder would, after re-inserting the image
 of the deleted word, shrink the whole sorted list.  Each level is
 completed before the next begins, so the first level containing a
 maximal square proves the minimum size exactly, and completing level F
-with no maximal square proves every maximal square exceeds F.
+with no maximal square proves every maximal square exceeds F.  The
+census visits the same squares depth first, each square's words in
+ascending order, which within each size is the level order.
 
 Canonicity is decided exactly.  A first-appearance cut rejects a list
 in which some value first appears above its family's next unused label:
@@ -46,12 +48,16 @@ falls below the list there, and the words whose image ties it, are a few
 ANDs and ORs of per-family value masks, for every word of the table at
 once.  The leaf of that path is the first-appearance cut, and every word
 ties at its root.  The other nodes are walked by label, in any order.
-The driver keeps the trees of the current queue entry's prefixes on a
-stack and grows each from the one below it.  The queue is in
+The level driver keeps the trees of the current queue entry's prefixes
+on a stack and grows each from the one below it.  The queue is in
 lexicographic order, so siblings share their parent's tree and an entry
 regrows only what it does not share with the one before.  Only the words
 that pass a parent's identity path are tried, each by ``is_canonical``
 with the parent's tree.  A parent with no candidate word gets no tree.
+So a child later expanded is walked twice, to accept it and to grow its
+tree.  The census's depth-first driver holds one path's trees and expands
+an accepted child at once, so it decides a child with candidates by
+growing its tree, and calls ``is_canonical`` only on the others.
 The value masks (shared with the compatibility masks) and the (family,
 slot) pairs the scans index labels by are computed once per search, with
 the table's order as the slot width.  ``is_canonical`` without a tree
@@ -376,6 +382,34 @@ def _levels(table: list[Word], compat: list[int], index: tuple, level: int = 0,
         queue = next_queue
 
 
+def _depth_first(table: list[Word], compat: list[int], index: tuple):
+    """Yield ``(words, mask)``, a word list and the mask of the words compatible
+    with all of it, for every canonical square above the empty one, in
+    lexicographic order of word indices, so within each size in ``_levels``'
+    order.  The stack holds one frame per square of the current path: its
+    tree and its untried candidates.  A child with a candidate above its new
+    word is decided by growing its tree and is expanded at once; any other
+    child by ``is_canonical`` with its parent's tree."""
+    full = (1 << len(table)) - 1
+    root = _tie_tree((), index)
+    stack = [([], full, root, bits_above(full & root[0], -1))]
+    while stack:
+        words, mask, tree, candidates = stack[-1]
+        w = next(candidates, None)
+        if w is None:
+            stack.pop()  # every child tried: backtrack
+            continue
+        child, child_mask = words + [table[w]], mask & compat[w]
+        if child_mask >> (w + 1):
+            grown = _tie_tree(child, index, tree)
+            if grown is None:
+                continue
+            stack.append((child, child_mask, grown, bits_above(child_mask & grown[0], w)))
+        elif not is_canonical(child, tree):
+            continue
+        yield child, child_mask
+
+
 def _save_checkpoint(path: Path, n: int, k: int, level: int,
                      queue: list[tuple[tuple[int, ...], int]], nodes: int) -> None:
     doc = {
@@ -384,9 +418,9 @@ def _save_checkpoint(path: Path, n: int, k: int, level: int,
         "k": k,
         "level": level,
         "nodes": nodes,
-        "queue": [list(words) for words, _ in queue],
+        "queue": [words for words, _ in queue],  # json writes the tuples as lists
     }
-    write_atomic(path, json.dumps(doc) + "\n")
+    write_atomic(path, json.dumps(doc, check_circular=False) + "\n")
 
 
 def _is_index(value: object, limit: float = inf) -> bool:
@@ -509,7 +543,9 @@ class ExhaustiveReport:
 
     ``histogram`` maps filled-cell count to the number of canonical
     maximal squares of that size; ``minimum_witnesses`` holds every
-    canonical maximal square of the least size.
+    canonical maximal square of the least size, in lexicographic order of
+    word indices; ``nodes`` counts the canonical squares above the empty
+    one.  The depth-first census gives the report the level queue gave.
     """
 
     n: int
@@ -525,31 +561,25 @@ class ExhaustiveReport:
 def verify_bound_exhaustive(n: int, k: int = 2) -> ExhaustiveReport:
     """Enumerate every canonical square and census the maximal ones.
 
-    Intended for tiny orders; confirms that no maximal square fills
+    The squares are visited depth first, holding only the current path's
+    tie trees, and the report is the one a level-by-level enumeration
+    gives.  Intended for tiny orders; confirms that no maximal square fills
     fewer than ceil(n^2 / 3) cells (for k = 2) and reports whether the
     minimum-size squares have all frequencies equal to n / 3 (only
     decided when n is divisible by 3 and the minimum meets n^2 / 3).
     Raises ValueError for n < 1, k < 1 or a word table above ``WORD_TABLE_LIMIT``.
     """
     table = _word_table(n, k)
-    nodes = 0
-    histogram: dict[int, int] = {}
-    min_size: int | None = None
-    minimum_witnesses: list[KPartialSquare] = []
-
     index = _word_index(table, n)
-    for level, queue in _levels(table, _compat_masks(table, index[2]), index):
-        if level:
-            nodes += len(queue)
-        for words_idx, mask in queue:
-            if mask == 0 and words_idx:
-                histogram[level] = histogram.get(level, 0) + 1
-                if min_size is None:
-                    min_size = level
-                if level == min_size:
-                    minimum_witnesses.append(
-                        KPartialSquare.from_words(n, k, [table[i] for i in words_idx])
-                    )
+    nodes = 0
+    maximal: dict[int, list[list[Word]]] = {}  # the maximal squares by size
+    for words, mask in _depth_first(table, _compat_masks(table, index[2]), index):
+        nodes += 1
+        if not mask:
+            maximal.setdefault(len(words), []).append(words)
+    histogram = {size: len(found) for size, found in sorted(maximal.items())}
+    min_size = min(histogram, default=None)
+    minimum_witnesses = [KPartialSquare.from_words(n, k, words) for words in maximal.get(min_size, ())]
 
     all_ok = all(size >= lower_bound(n) for size in histogram) if k == 2 else True
     tight: bool | None = None
@@ -562,7 +592,7 @@ def verify_bound_exhaustive(n: int, k: int = 2) -> ExhaustiveReport:
     return ExhaustiveReport(
         n=n,
         k=k,
-        histogram=dict(sorted(histogram.items())),
+        histogram=histogram,
         min_size=min_size,
         minimum_witnesses=tuple(minimum_witnesses),
         nodes=nodes,

@@ -23,7 +23,7 @@ from conftest import (
 )
 from mopls import search
 from mopls.cli import main
-from mopls.core import KPartialSquare, SelfCheckError, bits_above
+from mopls.core import KPartialSquare, SelfCheckError, bits_above, lower_bound
 from mopls.formats import ParseError
 from mopls.maximality import is_maximal
 from mopls.search import is_canonical, min_maximal, verify_bound_exhaustive
@@ -547,6 +547,24 @@ def test_a_stopped_and_resumed_order_four_search_writes_the_same_bytes(tmp_path,
         assert tuple(hashlib.sha256(data).hexdigest()[:16] for data in out) == digests, extra
 
 
+def test_each_checkpoint_is_the_json_of_its_list_of_lists_document(tmp_path, monkeypatch):
+    """The queue's index tuples go to ``json`` as they are, and the bytes are
+    those of the document with every entry a list."""
+    written = []
+    save = search._save_checkpoint
+
+    def checked(path, n, k, level, queue, nodes):
+        save(path, n, k, level, queue, nodes)
+        doc = {"version": 1, "n": n, "k": k, "level": level, "nodes": nodes,
+               "queue": [list(words) for words, _ in queue]}
+        assert path.read_bytes() == (json.dumps(doc) + "\n").encode(), level
+        written.append(level)
+
+    monkeypatch.setattr(search, "_save_checkpoint", checked)
+    result = min_maximal(4, budget=1219, checkpoint=tmp_path / "cp.json")
+    assert result.exhausted_budget and written == [1, 2, 3, 4, 5]
+
+
 def _fail(*args, **kwargs):
     raise OSError("simulated failure")
 
@@ -608,6 +626,48 @@ def test_resume_rejects_unknown_checkpoint_version(tmp_path):
 
 
 # -- exhaustive census --------------------------------------------------------------
+
+
+def _census_from_levels(n, k):
+    """The census report as the level queue assembles it: every canonical
+    square of each level in turn, the maximal ones counted by size."""
+    table = search._word_table(n, k)
+    index = search._word_index(table, n)
+    nodes, histogram, witnesses = 0, {}, []
+    for level, queue in search._levels(table, search._compat_masks(table, index[2]), index):
+        nodes += len(queue) if level else 0
+        for ix, mask in queue:
+            if mask == 0 and ix:
+                histogram[level] = histogram.get(level, 0) + 1
+                if level == min(histogram):
+                    witnesses.append(tuple(table[i] for i in ix))
+    return histogram, nodes, witnesses
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)])
+def test_the_depth_first_census_matches_the_level_queue(n, k):
+    histogram, nodes, witnesses = _census_from_levels(n, k)
+    report = verify_bound_exhaustive(n, k)
+    assert report.histogram == histogram and list(report.histogram) == sorted(histogram)
+    assert report.nodes == nodes
+    assert report.min_size == min(histogram)
+    assert [sq.words() for sq in report.minimum_witnesses] == witnesses
+    assert report.all_satisfy_bound is (k != 2 or min(histogram) >= lower_bound(n))
+    if k == 2 and n == 3:
+        assert report.tight_uniform_frequency is True
+    else:
+        assert report.tight_uniform_frequency is None
+
+
+@pytest.mark.parametrize("n, k, histogram, nodes", [
+    (3, 1, {5: 1, 7: 2, 9: 1}, 80),
+    (4, 1, {8: 1, 10: 3, 12: 32, 13: 6, 14: 5, 16: 2}, 9877),
+    (2, 3, {2: 6}, 7),
+    (3, 3, {3: 11, 4: 30, 6: 1}, 90),
+])
+def test_census_layer_counts(n, k, histogram, nodes):
+    report = verify_bound_exhaustive(n, k)
+    assert (report.histogram, report.nodes) == (histogram, nodes)
 
 
 def test_census_order_two():
