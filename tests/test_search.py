@@ -640,23 +640,24 @@ def _census_from_levels(n, k):
             if mask == 0 and ix:
                 histogram[level] = histogram.get(level, 0) + 1
                 if level == min(histogram):
-                    witnesses.append(tuple(table[i] for i in ix))
-    return histogram, nodes, witnesses
+                    witnesses.append(KPartialSquare.from_words(n, k, [table[i] for i in ix]))
+    least = min(histogram)
+    tight = None
+    if k == 2 and n % 3 == 0 and least == n * n // 3:
+        third = {n // 3}
+        tight = all(set(f.row_counts) == set(f.col_counts) == third and all(set(c) == third for c in f.layer_counts)
+                    for f in (sq.frequencies() for sq in witnesses))
+    return search.ExhaustiveReport(n, k, histogram, least, tuple(witnesses), nodes,
+                                   k != 2 or least >= lower_bound(n), tight)
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)])
 def test_the_depth_first_census_matches_the_level_queue(n, k):
-    histogram, nodes, witnesses = _census_from_levels(n, k)
-    report = verify_bound_exhaustive(n, k)
-    assert report.histogram == histogram and list(report.histogram) == sorted(histogram)
-    assert report.nodes == nodes
-    assert report.min_size == min(histogram)
-    assert [sq.words() for sq in report.minimum_witnesses] == witnesses
-    assert report.all_satisfy_bound is (k != 2 or min(histogram) >= lower_bound(n))
-    if k == 2 and n == 3:
-        assert report.tight_uniform_frequency is True
-    else:
-        assert report.tight_uniform_frequency is None
+    report, oracle = verify_bound_exhaustive(n, k), _census_from_levels(n, k)
+    assert report == oracle
+    assert list(report.histogram) == sorted(oracle.histogram)
+    assert [sq.words() for sq in report.minimum_witnesses] == [sq.words() for sq in oracle.minimum_witnesses]
+    assert report.tight_uniform_frequency is (True if (n, k) == (3, 2) else None)
 
 
 @pytest.mark.parametrize("n, k, histogram, nodes", [
