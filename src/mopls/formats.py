@@ -28,7 +28,6 @@ are read by :func:`read_json`.
 
 from __future__ import annotations
 
-import gc
 import json
 import operator
 import os
@@ -164,48 +163,41 @@ def to_json(square: KPartialSquare) -> str:
 
 
 def from_json(text: str) -> KPartialSquare:
-    # decoding and the record pass make many containers and no cycles: pause the collector
-    enabled = gc.isenabled()
-    gc.disable()
     try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != JSON_FORMAT:
+        raise ParseError(f"not a {JSON_FORMAT} document")
+    if type(doc.get("version")) is not int or doc["version"] != JSON_VERSION:  # True == 1.0 == 1
+        raise ParseError(f"unsupported version {doc.get('version')!r}")
+    try:
+        n, k, raw_cells = doc["n"], doc["k"], doc["cells"]
+    except KeyError as exc:
+        raise ParseError(f"missing field: {exc}") from exc
+    # fields must be JSON integers: no float, string or bool is converted
+    if type(n) is not int or type(k) is not int:
+        raise ParseError(f"n and k must be integers, got n={n!r}, k={k!r}")
+    if n > MAX_ORDER:
+        raise ParseError(f"order n={n} exceeds the supported maximum {MAX_ORDER}")
+    if k > MAX_LAYERS:
+        raise ParseError(f"layer count k={k} exceeds the supported maximum {MAX_LAYERS}")
+    if not isinstance(raw_cells, list):
+        raise ParseError("'cells' must be a list")
+    cells: dict[Cell, EntryTuple] = {}
+    for item in raw_cells:
         try:
-            doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
-            raise ParseError(f"invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("format") != JSON_FORMAT:
-            raise ParseError(f"not a {JSON_FORMAT} document")
-        if type(doc.get("version")) is not int or doc["version"] != JSON_VERSION:  # True == 1.0 == 1
-            raise ParseError(f"unsupported version {doc.get('version')!r}")
-        try:
-            n, k, raw_cells = doc["n"], doc["k"], doc["cells"]
-        except KeyError as exc:
-            raise ParseError(f"missing field: {exc}") from exc
-        # fields must be JSON integers: no float, string or bool is converted
-        if type(n) is not int or type(k) is not int:
-            raise ParseError(f"n and k must be integers, got n={n!r}, k={k!r}")
-        if n > MAX_ORDER:
-            raise ParseError(f"order n={n} exceeds the supported maximum {MAX_ORDER}")
-        if k > MAX_LAYERS:
-            raise ParseError(f"layer count k={k} exceeds the supported maximum {MAX_LAYERS}")
-        if not isinstance(raw_cells, list):
-            raise ParseError("'cells' must be a list")
-        cells: dict[Cell, EntryTuple] = {}
-        for item in raw_cells:
-            try:
-                row, col, entries = item["row"], item["col"], item["entries"]
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"malformed cell record {item!r}: {exc}") from exc
-            if type(row) is not int or type(col) is not int or type(entries) is not list:
-                raise ParseError(f"malformed cell record {item!r}: row and col must be integers, entries a list")
-            if (row, col) in cells:
-                raise ParseError(f"duplicate cell {(row, col)}")
-            cells[row, col] = tuple(entries)
-        # one pass over all entries; a check per cell would slow large files
-        if set(map(type, chain.from_iterable(cells.values()))) - {int}:
-            raise ParseError("every entry must be an integer")
-    finally:
-        if enabled:
-            gc.enable()
+            row, col, entries = item["row"], item["col"], item["entries"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"malformed cell record {item!r}: {exc}") from exc
+        if type(row) is not int or type(col) is not int or type(entries) is not list:
+            raise ParseError(f"malformed cell record {item!r}: row and col must be integers, entries a list")
+        if (row, col) in cells:
+            raise ParseError(f"duplicate cell {(row, col)}")
+        cells[row, col] = tuple(entries)
+    # one pass over all entries; a check per cell would slow large files
+    if set(map(type, chain.from_iterable(cells.values()))) - {int}:
+        raise ParseError("every entry must be an integer")
     try:
         square = KPartialSquare(n, k, cells)
         square.projections()  # validates

@@ -58,9 +58,9 @@ and column sets and C(k, 2) shifted layer-pair slabs from the pair set.
 These bitsets take (2n + 3 + k + C(k, 2)) * n ** k bits.  The lex policy,
 and the random policy above ``_TUPLE_SPACE_BITS``, instead keep a copy of
 the square's index and walk the layers with ``_tuple_of_rank``, skipping
-the subtree of every lower symbol: counted from the k allowed-symbol masks
-with ``int.bit_count``, or at rank 0 only tested for emptiness.  Both paths
-give the same square, which is validated before it is returned.
+the subtree of every lower symbol, whose size it counts from the k
+allowed-symbol masks with ``int.bit_count``.  Both paths give the same
+square, which is validated before it is returned.
 """
 
 from __future__ import annotations
@@ -121,32 +121,10 @@ def _count(table: list[list[list[int]]], masks: list[int], j: int) -> int:
     return total
 
 
-def _nonempty(table: list[list[list[int]]], masks: list[int], j: int) -> bool:
-    """Whether ``_count(table, masks, j)`` is nonzero, stopping at the first legal tuple."""
-    if not all(masks):
-        return False
-    mask, later = masks[0], masks[1:]
-    if len(later) == 1:
-        last, pair = later[0], table[2 + j][3 + j]
-        while mask:
-            low = mask & -mask
-            if last & ~pair[low.bit_length() - 1]:
-                return True
-            mask ^= low
-        return False
-    pairs = table[2 + j][3 + j:]
-    while mask:
-        low = mask & -mask
-        if _nonempty(table, [m & ~p[low.bit_length() - 1] for m, p in zip(later, pairs)], j + 1):
-            return True
-        mask ^= low
-    return False
-
-
 def _tuple_of_rank(table: list[list[list[int]]], masks: list[int], rank: int) -> EntryTuple | None:
     """The legal tuple of lex rank ``rank``, or None when there are no more
     than ``rank``: at each layer, skip the whole subtrees of lower symbols.
-    Rank 0 is the lex-least tuple: it tests subtrees for emptiness, counting none."""
+    Rank 0 is the lex-least tuple."""
     out = []
     for j in range(len(masks) - 1):
         mask, later = masks[0], masks[1:]
@@ -155,10 +133,8 @@ def _tuple_of_rank(table: list[list[list[int]]], masks: list[int], rank: int) ->
             e = (mask & -mask).bit_length() - 1
             if len(later) == 1:
                 size = (later[0] & ~pairs[0][e]).bit_count()
-            elif rank:
-                size = _count(table, [m & ~p[e] for m, p in zip(later, pairs)], j + 1)
             else:
-                size = int(_nonempty(table, [m & ~p[e] for m, p in zip(later, pairs)], j + 1))
+                size = _count(table, [m & ~p[e] for m, p in zip(later, pairs)], j + 1)
             if rank < size:
                 break
             rank -= size

@@ -1,4 +1,3 @@
-import gc
 import json
 import time
 from contextlib import suppress
@@ -232,29 +231,6 @@ def test_json_rejects_non_integer_entries_and_duplicate_cells(cells, message):
 def test_json_rejects_non_json():
     with pytest.raises(ParseError):
         from_json("{not json")
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
-def test_from_json_pauses_the_collector_and_restores_the_callers_state(monkeypatch, enabled):
-    # decoding runs with the cyclic collector paused; a load, or a load that
-    # fails, leaves it as the caller had it
-    seen = []
-    loads = json.loads
-    monkeypatch.setattr(json, "loads", lambda text: seen.append(gc.isenabled()) or loads(text))
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        square = KPartialSquare.empty(3, 2).insert((0, 0), (1, 2))
-        assert from_json(to_json(square)) == square
-        assert gc.isenabled() is enabled
-        for bad in ("{not json", json.dumps({"format": "kpls", "version": 1, "n": 2, "k": 1,
-                                             "cells": [{"row": 0, "col": 0, "entries": [0.5]}]})):
-            with pytest.raises(ParseError):
-                from_json(bad)
-            assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert seen == [False, False, False]
 
 
 def test_load_square_sniffs_format(tmp_path):

@@ -248,8 +248,6 @@ def test_every_rank_names_the_candidate_of_that_rank(square):
         count = maximality._count(table, masks, 0)
         assert count == len(listed)
         assert [maximality._tuple_of_rank(table, masks, rank) for rank in range(count + 1)] == listed + [None]
-        if square.k >= 2:
-            assert maximality._nonempty(table, masks, 0) is (count > 0)
         # the same candidates, read off the tuple-space bitsets
         legal = sets.rows[cell[0]] & sets.cols[cell[1]] & sets.pairs
         assert legal.bit_count() == count
@@ -266,8 +264,8 @@ def _brute_force_lex_least(square, cell):
 
 @pytest.mark.parametrize("n, k, seed", [(3, 3, 1), (4, 3, 3), (5, 3, 2), (6, 3, 4), (3, 4, 5), (4, 4, 6), (5, 4, 5)])
 def test_the_rank_0_pick_is_the_brute_force_lex_least_tuple(n, k, seed):
-    # at rank 0 a lower symbol's subtree is only tested for emptiness, never
-    # counted: the pick and the lex completion must still be the lex-least
+    # the rank-0 pick skips every lower symbol's subtree: the pick and the lex
+    # completion must be the lex-least legal tuples a brute-force search finds
     rng = random.Random(seed)
     full = maximalize(KPartialSquare.empty(n, k), policy="random", seed=seed)
     square = KPartialSquare(n, k, {cell: full.entries_at(cell) for cell in full.cells if rng.random() < 0.8})
