@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from itertools import permutations, product
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -15,7 +15,6 @@ from mopls.verify import lower_bound, verify_bound
 from conftest import (
     DATA,
     maximal_squares_with_holes,
-    oracle_agreements,
     oracle_candidates,
     oracle_find_extension,
     oracle_is_maximal,
@@ -252,34 +251,6 @@ def test_every_rank_names_the_candidate_of_that_rank(square):
         legal = sets.rows[cell[0]] & sets.cols[cell[1]] & sets.pairs
         assert legal.bit_count() == count
         assert [sets.entries(maximality._nth_bit(legal, rank, sets.halves)) for rank in range(count)] == listed
-
-
-def _brute_force_lex_least(square, cell):
-    """The first tuple of ``product`` order whose word agrees with every word
-    of the square in at most one place."""
-    words = list(square.words())
-    return next((entries for entries in product(range(square.n), repeat=square.k)
-                 if all(oracle_agreements(cell + entries, w) <= 1 for w in words)), None)
-
-
-@pytest.mark.parametrize("n, k, seed", [(3, 3, 1), (4, 3, 3), (5, 3, 2), (6, 3, 4), (3, 4, 5), (4, 4, 6), (5, 4, 5)])
-def test_the_rank_0_pick_is_the_brute_force_lex_least_tuple(n, k, seed):
-    # the rank-0 pick skips every lower symbol's subtree: the pick and the lex
-    # completion must be the lex-least legal tuples a brute-force search finds
-    rng = random.Random(seed)
-    full = maximalize(KPartialSquare.empty(n, k), policy="random", seed=seed)
-    square = KPartialSquare(n, k, {cell: full.entries_at(cell) for cell in full.cells if rng.random() < 0.8})
-    table = square.projections().table
-    picks = [maximality._tuple_of_rank(table, maximality._allowed(table, n, k, cell), 0)
-             for cell in square.empty_cells()]
-    assert picks == [_brute_force_lex_least(square, cell) for cell in square.empty_cells()]
-    assert None in picks and any(picks)
-    cells = dict(square.cells)
-    for cell in square.empty_cells():
-        entries = _brute_force_lex_least(KPartialSquare(n, k, cells), cell)
-        if entries is not None:
-            cells[cell] = entries
-    assert maximalize(square).cells == cells
 
 
 def test_maximalize_checks_its_fill_explicitly(monkeypatch):
